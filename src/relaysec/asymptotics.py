@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ConfigError
+from .params import ConfigError, _require_positive_finite
 
 __all__ = [
     "AsymptoteResult",
@@ -41,13 +41,6 @@ class AsymptoteResult:
     floor: float | None = None
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
 def _check_rho(rho: float) -> float:
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 1.0:
@@ -58,9 +51,9 @@ def _check_rho(rho: float) -> float:
 def asymp_single_balanced(eve_rate: float, rho: float, mean_snr: float) -> AsymptoteResult:
     """Leading-order single-branch outage when both hops share mean SNR
     `mean_snr` and it grows large: 2/mean_snr * (rho/eve_rate + rho - 1)."""
-    eve_rate = _check_positive("eve_rate", eve_rate)
+    eve_rate = _require_positive_finite("eve_rate", eve_rate)
     rho = _check_rho(rho)
-    mean_snr = _check_positive("mean_snr", mean_snr)
+    mean_snr = _require_positive_finite("mean_snr", mean_snr)
     value = (2.0 / mean_snr) * (rho / eve_rate + (rho - 1.0))
     return AsymptoteResult(value=value, slope_order=1)
 
@@ -79,10 +72,10 @@ def asymp_single_unbalanced(
     1/mean_snr.  Which hop is pinned does not matter: the two unbalanced
     cases are symmetric.
     """
-    fixed_rate = _check_positive("fixed_rate", fixed_rate)
-    eve_rate = _check_positive("eve_rate", eve_rate)
+    fixed_rate = _require_positive_finite("fixed_rate", fixed_rate)
+    eve_rate = _require_positive_finite("eve_rate", eve_rate)
     rho = _check_rho(rho)
-    mean_snr = _check_positive("mean_snr", mean_snr)
+    mean_snr = _require_positive_finite("mean_snr", mean_snr)
     floor = _single_floor(fixed_rate, eve_rate, rho)
     emitted = eve_rate * math.exp(-fixed_rate * (rho - 1.0))
     varying = (rho + (rho - 1.0) * emitted) / (rho * fixed_rate + eve_rate) / mean_snr
@@ -95,8 +88,8 @@ def asymp_os_balanced(
     """Best-secrecy-rate selection, balanced hops: the product of the
     per-relay leading-order terms, decaying like mean_snr^-N."""
     rho = _check_rho(rho)
-    mean_snr = _check_positive("mean_snr", mean_snr)
-    rates = [_check_positive("eve_rate", a) for a in eve_rates]
+    mean_snr = _require_positive_finite("mean_snr", mean_snr)
+    rates = [_require_positive_finite("eve_rate", a) for a in eve_rates]
     if not rates:
         raise ConfigError("eve_rates must be non-empty")
     value = 1.0
@@ -112,8 +105,8 @@ def asymp_os_unbalanced_floor(
     the given rates: the product of the per-relay floors.  Each factor is
     below 1, so selection always improves on any single branch."""
     rho = _check_rho(rho)
-    fixed = [_check_positive("fixed_rate", b) for b in fixed_rates]
-    eves = [_check_positive("eve_rate", a) for a in eve_rates]
+    fixed = [_require_positive_finite("fixed_rate", b) for b in fixed_rates]
+    eves = [_require_positive_finite("eve_rate", a) for a in eve_rates]
     if len(fixed) != len(eves) or not fixed:
         raise ConfigError("fixed_rates and eve_rates must share a length >= 1")
     floor = 1.0
@@ -139,8 +132,8 @@ def asymp_ts_balanced(
     slope but sits a factor N above its level.
     """
     rho = _check_rho(rho)
-    mean_snr = _check_positive("mean_snr", mean_snr)
-    rates = [_check_positive("eve_rate", a) for a in eve_rates]
+    mean_snr = _require_positive_finite("mean_snr", mean_snr)
+    rates = [_require_positive_finite("eve_rate", a) for a in eve_rates]
     n = len(rates)
     if n < 1:
         raise ConfigError("eve_rates must be non-empty")
@@ -168,8 +161,8 @@ def snr_gap_db(eve_rate_from: float, eve_rate_to: float, rho: float) -> float:
     stayed put).  Strictly decreasing in rho: the penalty for a better
     eavesdropper shrinks as the target rate grows.
     """
-    eve_rate_from = _check_positive("eve_rate_from", eve_rate_from)
-    eve_rate_to = _check_positive("eve_rate_to", eve_rate_to)
+    eve_rate_from = _require_positive_finite("eve_rate_from", eve_rate_from)
+    eve_rate_to = _require_positive_finite("eve_rate_to", eve_rate_to)
     rho = _check_rho(rho)
     if eve_rate_from < eve_rate_to:
         raise ConfigError(

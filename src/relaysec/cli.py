@@ -147,8 +147,9 @@ def _run_family(
     return EXIT_OK
 
 
-def _apply_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
-    data = spec.to_dict()
+def _apply_overrides(base: SweepSpec | None, args: argparse.Namespace) -> SweepSpec:
+    """`base`, overridden by the --config file's fields, then by --trials/--seed."""
+    data = base.to_dict() if base else {}
     if args.config:
         data.update(_load_json(args.config))
     if args.trials is not None:
@@ -159,14 +160,7 @@ def _apply_overrides(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("sweep requires --config")
-    spec = SweepSpec.from_dict(_load_json(args.config))
-    if args.trials is not None:
-        spec = SweepSpec.from_dict({**spec.to_dict(), "mc_trials": args.trials})
-    if args.seed is not None:
-        spec = SweepSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    return _run_family((("", spec),), args.out, args.max_n)
+    return _run_family((("", _apply_overrides(None, args)),), args.out, args.max_n)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

@@ -5,6 +5,11 @@ Each trial draws one exponential SNR per link by inverse CDF
 an outage when the selected relay's instantaneous secrecy rate falls strictly
 below the target.
 
+Sampling and selection exist once, on the vectorised block path; the scalar
+helpers are size-1 views of it.  `sample_realization` draws a one-trial block
+in the same stream order, and `apply_selection` runs the block rule on a
+one-row realization, so it picks exactly what the simulator picks.
+
 Determinism contract: trials are partitioned into fixed-size blocks; block b
 draws from a counter-based substream keyed by (seed, b), and block counts are
 reduced in block order.  The estimate is therefore bit-identical for a given
@@ -17,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .closedform import select_ps
-from .params import ConfigError, SelectionScheme, SystemConfig
+from .params import ConfigError, SelectionScheme, SystemConfig, _require_seed
 
 __all__ = [
     "BLOCK_SIZE",
@@ -36,8 +42,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
-
-_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,9 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _U64:
-        raise ConfigError(f"seed must fit in 64 bits, got {seed!r}")
-    return seed
-
-
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
     """Counter-based substream for one block, independent across blocks."""
-    seed = _check_seed(seed)
+    seed = _require_seed(seed)
     return np.random.Generator(np.random.Philox(key=(seed << 64) + block_index))
 
 
@@ -100,19 +97,24 @@ def _uniforms(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         u[zero] = rng.random(int(zero.sum()))
 
 
-def _rate_matrix(cfg: SystemConfig) -> np.ndarray:
-    return np.array(
+def _draw(
+    cfg: SystemConfig, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma_sr, gamma_rd, gamma_eve), each (size, n_relays), from `size`
+    trials of 3 uniforms per relay taken in trial, relay, link order."""
+    rates = np.array(
         [[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays], dtype=np.float64
     )
+    g = -np.log(_uniforms(rng, (size, cfg.n_relays, 3))) / rates[None, :, :]
+    return g[:, :, 0], g[:, :, 1], g[:, :, 2]
 
 
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization; consumes 3 uniforms per relay."""
-    rates = _rate_matrix(cfg)
-    u = _uniforms(rng, (cfg.n_relays, 3))
-    g = -np.log(u) / rates
+    """Draw one channel realization, a one-trial block; consumes 3 uniforms
+    per relay, so successive calls walk the stream a block would draw."""
+    gs, gd, ge = _draw(cfg, rng, 1)
     return ChannelRealization(
-        gamma_sr=tuple(g[:, 0]), gamma_rd=tuple(g[:, 1]), gamma_eve=tuple(g[:, 2])
+        gamma_sr=tuple(gs[0]), gamma_rd=tuple(gd[0]), gamma_eve=tuple(ge[0])
     )
 
 
@@ -129,43 +131,23 @@ def secrecy_rate(gamma_main: float, gamma_eve: float) -> float:
 def apply_selection(
     scheme: SelectionScheme, cfg: SystemConfig, realization: ChannelRealization
 ) -> int:
-    """1-based index of the relay the scheme picks; ties break to the lowest."""
+    """1-based index of the relay the scheme picks; ties break to the lowest.
+
+    Runs the simulator's block rule on a one-row realization.
+    """
     scheme.validate_for(cfg)
     if realization.n_relays != cfg.n_relays:
         raise ConfigError("realization arity does not match the config")
-    if scheme.kind == "SINGLE":
-        return scheme.relay
-    if scheme.kind == "PS":
-        return select_ps(cfg)
-    main = realization.gamma_main
-    if scheme.kind == "OS":
-        metric = [
-            secrecy_rate(m, e) for m, e in zip(main, realization.gamma_eve)
-        ]
-    elif scheme.kind == "TS":
-        metric = list(main)
-    elif scheme.kind == "SS-RE":
-        metric = [m * r.eve_rate for m, r in zip(main, cfg.relays)]
-    elif scheme.kind == "SS-RD":
-        metric = list(realization.gamma_rd)
-    else:  # SS-SR
-        metric = list(realization.gamma_sr)
-    best = 0
-    for i in range(1, len(metric)):
-        if metric[i] > metric[best]:
-            best = i
-    return best + 1
+    r = realization
+    gs, gd, ge = np.array([[r.gamma_sr], [r.gamma_rd], [r.gamma_eve]], dtype=np.float64)
+    return int(_select_block(scheme, cfg, gs, gd, ge)[0]) + 1
 
 
 def _sample_block(
     cfg: SystemConfig, seed: int, block_index: int, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized twin of sample_realization for `size` trials of one block."""
-    rng = block_generator(seed, block_index)
-    rates = _rate_matrix(cfg)
-    u = _uniforms(rng, (size, cfg.n_relays, 3))
-    g = -np.log(u) / rates[None, :, :]
-    return g[:, :, 0], g[:, :, 1], g[:, :, 2]
+    """The `size` trials of block `block_index`, drawn from its own substream."""
+    return _draw(cfg, block_generator(seed, block_index), size)
 
 
 def _select_block(
@@ -176,14 +158,13 @@ def _select_block(
     ge: np.ndarray,
 ) -> np.ndarray:
     """0-based selected relay per trial; np.argmax keeps the lowest tie."""
-    if scheme.kind == "SINGLE":
-        return np.full(gs.shape[0], scheme.relay - 1, dtype=np.intp)
-    if scheme.kind == "PS":
-        return np.full(gs.shape[0], select_ps(cfg) - 1, dtype=np.intp)
+    if scheme.kind in ("SINGLE", "PS"):
+        fixed = scheme.relay if scheme.kind == "SINGLE" else select_ps(cfg)
+        return np.full(gs.shape[0], fixed - 1, dtype=np.intp)
     gmain = np.minimum(gs, gd)
     if scheme.kind == "OS":
-        # Clipping the ratio at 1 reproduces the zero-rate tie behaviour of
-        # the scalar rule (all clipped branches tie, lowest index wins).
+        # Clipping the ratio at 1 mirrors the secrecy rate clipping at zero:
+        # every zero-rate branch ties, so the lowest index wins among them.
         metric = np.maximum((1.0 + gmain) / (1.0 + ge), 1.0)
     elif scheme.kind == "TS":
         metric = gmain
@@ -214,27 +195,28 @@ def _outage_block(
     return (1.0 + gmain) < cfg.rho * (1.0 + geve)
 
 
-def _block_sizes(trials: int) -> list[int]:
+def _run_blocks(
+    cfg: SystemConfig, scheme: SelectionScheme, trials: int, seed: int
+) -> tuple[int, int, Iterator[np.ndarray]]:
+    """Shared prologue of the simulators: validated (trials, seed) and the
+    lazily computed per-block outage flags, in block order."""
+    scheme.validate_for(cfg)
+    trials = int(trials)
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    seed = _require_seed(seed)
     full, rem = divmod(trials, BLOCK_SIZE)
-    sizes = [BLOCK_SIZE] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+    sizes = [BLOCK_SIZE] * full + ([rem] if rem else [])
+    blocks = (_outage_block(scheme, cfg, seed, b, n) for b, n in enumerate(sizes))
+    return trials, seed, blocks
 
 
 def simulate_outage(
     cfg: SystemConfig, scheme: SelectionScheme, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Empirical secrecy outage probability over `trials` seeded trials."""
-    scheme.validate_for(cfg)
-    trials = int(trials)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    seed = _check_seed(seed)
-    count = 0
-    for b, size in enumerate(_block_sizes(trials)):
-        count += int(_outage_block(scheme, cfg, seed, b, size).sum())
-    p_hat = count / trials
+    trials, seed, blocks = _run_blocks(cfg, scheme, trials, seed)
+    p_hat = sum(int(flags.sum()) for flags in blocks) / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloEstimate(p_hat=p_hat, trials=trials, std_err=std_err, seed=seed)
 
@@ -247,13 +229,5 @@ def outage_flags(
     Different schemes evaluated at one seed share identical realizations,
     which makes pathwise comparisons between selection rules possible.
     """
-    scheme.validate_for(cfg)
-    trials = int(trials)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    seed = _check_seed(seed)
-    parts = [
-        _outage_block(scheme, cfg, seed, b, size)
-        for b, size in enumerate(_block_sizes(trials))
-    ]
-    return np.concatenate(parts)
+    _, _, blocks = _run_blocks(cfg, scheme, trials, seed)
+    return np.concatenate(list(blocks))

@@ -44,6 +44,14 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_seed(seed: int) -> int:
+    """A seed as an int in the 64-bit range the Philox substream keys take."""
+    seed = int(seed)
+    if not 0 <= seed < (1 << 64):
+        raise ConfigError(f"seed must fit in 64 bits, got {seed!r}")
+    return seed
+
+
 def rho_of_rate(rate_rs: float) -> float:
     """SNR-ratio threshold 2^(2*rate_rs) equivalent to a target secrecy rate.
 

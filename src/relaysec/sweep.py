@@ -16,7 +16,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -35,6 +35,7 @@ from .params import (
     RelayLinkParams,
     SelectionScheme,
     SystemConfig,
+    _require_seed,
     db_to_linear,
     parse_scheme,
     single,
@@ -155,9 +156,7 @@ class SweepSpec:
         if int(self.mc_trials) < 0:
             raise ConfigError(f"mc_trials must be >= 0, got {self.mc_trials!r}")
         object.__setattr__(self, "mc_trials", int(self.mc_trials))
-        if not 0 <= int(self.seed) < (1 << 64):
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.fixed_hop is not None and not isinstance(self.fixed_hop, FixedHop):
             raise ConfigError("fixed_hop must be a FixedHop or None")
 
@@ -194,18 +193,7 @@ class SweepSpec:
     def from_dict(cls, data: dict) -> "SweepSpec":
         if not isinstance(data, dict):
             raise ConfigError("sweep spec must be a JSON object")
-        known = {
-            "snr_grid_db",
-            "rates",
-            "schemes",
-            "n_relays",
-            "power_split_sr",
-            "eaves_snr_db",
-            "mc_trials",
-            "seed",
-            "fixed_hop",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown sweep spec fields: {sorted(unknown)}")
         try:

@@ -19,6 +19,7 @@ from relaysec import (
     outage_flags,
     sample_realization,
     secrecy_rate,
+    select_ps,
     simulate_outage,
     single,
     single_relay_outage,
@@ -83,6 +84,12 @@ class TestApplySelection:
     def test_best_secrecy_rate_wins_under_os(self):
         real = make_real([10.0, 5.0], [10.0, 5.0], [9.0, 0.0])
         assert apply_selection(OS, self.cfg2, real) == 2
+
+    def test_zero_rate_branches_tie_under_os(self):
+        # SNR ratios 1.1/10 and 1.5/6 both clip to a zero secrecy rate, so the
+        # tie breaks to relay 1 although relay 2 has the larger ratio.
+        real = make_real([0.1, 0.5], [0.1, 0.5], [9.0, 5.0])
+        assert apply_selection(OS, self.cfg2, real) == 1
 
     def test_hop_specific_rules(self):
         real = make_real([4.0, 1.0], [1.0, 6.0], [1.0, 1.0])
@@ -171,6 +178,41 @@ class TestScalarVectorConsistency:
                 k = apply_selection(scheme, cfg, real)
                 rate = secrecy_rate(real.gamma_main[k - 1], real.gamma_eve[k - 1])
                 assert bool(flags[t]) == (rate < cfg.rate_rs), (scheme.label, t)
+
+
+def reference_pick(scheme, cfg, real):
+    """Per-relay loop form of each selection rule, the reference that the
+    simulator's vectorised rule is checked against."""
+    if scheme.kind == "SINGLE":
+        return scheme.relay
+    if scheme.kind == "PS":
+        return select_ps(cfg)
+    main = real.gamma_main
+    metric = {
+        "OS": [secrecy_rate(m, e) for m, e in zip(main, real.gamma_eve)],
+        "TS": list(main),
+        "SS-RE": [m * r.eve_rate for m, r in zip(main, cfg.relays)],
+        "SS-RD": list(real.gamma_rd),
+        "SS-SR": list(real.gamma_sr),
+    }[scheme.kind]
+    return metric.index(max(metric)) + 1
+
+
+class TestSelectionReference:
+    def test_block_rule_matches_the_loop_rule(self):
+        rng_cfg = np.random.default_rng(21)
+        zero_rate_ties = 0
+        for n in (2, 3, 5):
+            cfg = random_config(rng_cfg, n)
+            rng = block_generator(32, n)
+            for _ in range(300):
+                real = sample_realization(cfg, rng)
+                rates = [secrecy_rate(m, e) for m, e in zip(real.gamma_main, real.gamma_eve)]
+                zero_rate_ties += rates.count(0.0) > 1
+                for scheme in ALL_SCHEMES:
+                    expected = reference_pick(scheme, cfg, real)
+                    assert apply_selection(scheme, cfg, real) == expected, (scheme.label, real)
+        assert zero_rate_ties > 0
 
 
 class TestPathwiseDominance:

@@ -311,6 +311,19 @@ class TestCli:
         manifest = json.loads((tmp_path / "f4.manifest.json").read_text())
         assert [v["label"] for v in manifest["variants"]] == ["n2", "n4"]
 
+    def test_figure_config_overrides_every_variant_and_flags_win(self, tmp_path):
+        overrides = tmp_path / "over.json"
+        overrides.write_text(json.dumps({"snr_grid_db": [0.0, 10.0], "mc_trials": 50, "seed": 1}))
+        out = tmp_path / "f4.csv"
+        argv = ["figure", "fig4", "--config", str(overrides), "--out", str(out)]
+        assert main(argv + ["--trials", "0", "--seed", "9"]) == 0
+        manifest = json.loads((tmp_path / "f4.manifest.json").read_text())
+        assert len(manifest["variants"]) == 2
+        for variant in manifest["variants"]:
+            assert variant["spec"]["snr_grid_db"] == [0.0, 10.0]
+            assert variant["mc_trials"] == 0
+            assert variant["seed"] == 9
+
     def test_figure_fig5_single_file_and_determinism(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
