@@ -22,6 +22,7 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
+from . import __version__
 from .asymptotics import diversity_order_estimate, snr_gap_db
 from .closedform import CancellationError, outage_for_scheme
 from .montecarlo import simulate_outage
@@ -47,8 +48,8 @@ EXIT_IO = 4
 def _tool_version() -> str:
     try:
         return metadata.version("relaysec")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+    except metadata.PackageNotFoundError:  # run from a source checkout
+        return __version__
 
 
 def _load_json(path: str) -> dict:

@@ -213,7 +213,9 @@ class SweepSpec:
             if isinstance(fh, dict):
                 kwargs["fixed_hop"] = FixedHop(which=fh["which"], snr_db=float(fh["snr_db"]))
             return cls(**kwargs)
-        except (TypeError, KeyError) as exc:
+        except ConfigError:
+            raise
+        except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"malformed sweep spec: {exc}") from exc
 
 

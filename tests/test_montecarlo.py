@@ -1,9 +1,15 @@
+import hashlib
 import math
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import random_config
+from relaysec import montecarlo
 from relaysec import (
     ALL_SCHEMES,
     OS,
@@ -223,3 +229,210 @@ class TestPathwiseDominance:
         for scheme in ALL_SCHEMES[1:]:
             other = outage_flags(cfg, scheme, trials, seed)
             assert not np.any(os_flags & ~other)
+
+
+PIN_TRIALS, PIN_SEED = 40_000, 7  # two full blocks and a partial one
+PIN_N1 = SystemConfig((RelayLinkParams.from_mean_snr_db(10.0, 12.0, 3.0),), rate_rs=0.5)
+PIN_N4 = SystemConfig(
+    tuple(RelayLinkParams.from_mean_snr_db(8.0 + k, 11.0 - k, 3.0 * k) for k in range(4)),
+    rate_rs=0.8,
+)
+_N1_FLAGS = "e3ded6bf74a30d9c23c9fd57d1261e5ba8d5eb745b2d64a548c8a48bf2d44e27"
+
+_PINNED = [  # (config, scheme, sha256 of the outage flags, p_hat)
+    (PIN_N1, OS, _N1_FLAGS, 0.48485),
+    (PIN_N1, TS, _N1_FLAGS, 0.48485),
+    (PIN_N1, SS_RE, _N1_FLAGS, 0.48485),
+    (PIN_N1, SS_RD, _N1_FLAGS, 0.48485),
+    (PIN_N1, SS_SR, _N1_FLAGS, 0.48485),
+    (PIN_N1, PS, _N1_FLAGS, 0.48485),
+    (PIN_N1, single(1), _N1_FLAGS, 0.48485),
+    (PIN_N4, OS, "2bc527ca0637257e2bade29293949f6dd2c15dd584fa83e8eb6cd0d132207707", 0.35425),
+    (PIN_N4, TS, "2dd82905bc5b215cb2121e8c1d702e318f33f2ee14e8d47500acedf826bafb4c", 0.504125),
+    (PIN_N4, SS_RE, "276f24c6b98d43c3eb219cff2229677a4f8d33aa05f277ca24e907f022cf020a", 0.464375),
+    (PIN_N4, SS_RD, "11d6bf18354ba031790d6f15c063da5294c73185c7d7d81d05dba58c80d4c72e", 0.6098),
+    (PIN_N4, SS_SR, "e7a8006f7339ba2eedf04a7e6725f9f11121815a9493174b8fde8b10491f2838", 0.690425),
+    (PIN_N4, PS, "7edc306f868c434486b19a329249212ea245054961d6531dee8efc23b32e3574", 0.6433),
+    (PIN_N4, single(3), "28507bb825a8c1b2485f83798de00ace56781402c4f479190815f1a4495d7152", 0.8304),
+]
+
+
+class TestPinnedStream:
+    """sha256 of the outage flags and the exact estimate, recorded before the
+    block kernel moved to reused buffers and a thread pool: the random stream
+    and the arithmetic on it must not change."""
+
+    @pytest.mark.parametrize(
+        "cfg, scheme, flags_sha256, p_hat",
+        _PINNED,
+        ids=[f"N{cfg.n_relays}-{scheme.label}" for cfg, scheme, _, _ in _PINNED],
+    )
+    def test_fingerprint(self, cfg, scheme, flags_sha256, p_hat):
+        flags = outage_flags(cfg, scheme, PIN_TRIALS, PIN_SEED)
+        assert flags.dtype == np.bool_ and flags.shape == (PIN_TRIALS,)
+        assert hashlib.sha256(flags.tobytes()).hexdigest() == flags_sha256
+        assert simulate_outage(cfg, scheme, PIN_TRIALS, PIN_SEED).p_hat == p_hat
+
+
+def _run_in_threads(calls, timeout=120.0):
+    """Run each zero-argument call on its own thread; results in call order."""
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "simulation threads hung"
+    return results
+
+
+def _fork_child_simulates(queue):
+    queue.put(simulate_outage(PIN_N4, OS, 3 * montecarlo.BLOCK_SIZE, 5))
+
+
+class TestBlockPool:
+    """Blocks run on a thread pool; the results may not depend on it."""
+
+    @pytest.fixture
+    def pool_of(self, monkeypatch):
+        made = []
+
+        def install(workers):
+            pool = ThreadPoolExecutor(workers)
+            made.append(pool)
+            monkeypatch.setattr(montecarlo, "_pool", pool)
+
+        yield install
+        for pool in made:
+            pool.shutdown()
+
+    def test_results_do_not_depend_on_the_worker_count(self, pool_of):
+        trials = 5 * montecarlo.BLOCK_SIZE + 123
+        runs = []
+        for workers in (1, 2):
+            pool_of(workers)
+            runs.append(
+                [outage_flags(PIN_N4, s, trials, 11).tobytes() for s in ALL_SCHEMES]
+                + [simulate_outage(PIN_N4, s, trials, 11) for s in ALL_SCHEMES]
+            )
+        assert runs[0] == runs[1]
+
+    def test_concurrent_callers_get_the_serial_results(self, pool_of):
+        trials = 3 * montecarlo.BLOCK_SIZE + 5
+        jobs = [(PIN_N4, s, trials, seed) for s in (OS, TS, SS_RE) for seed in (1, 2)]
+        jobs += [(PIN_N1, TS, 1_000, 3), (PIN_N1, OS, trials, 4)]
+        pool_of(1)
+        expected = [(outage_flags(*job).tobytes(), simulate_outage(*job)) for job in jobs]
+        pool_of(4)  # more workers than this suite assumes cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = _run_in_threads(
+                [lambda job=job: (outage_flags(*job).tobytes(), simulate_outage(*job)) for job in jobs]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_single_block_call_runs_inline(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a one-block call used the pool")
+
+        monkeypatch.setattr(montecarlo, "_executor", no_pool)
+        assert simulate_outage(PIN_N4, OS, montecarlo.BLOCK_SIZE, 5).trials == montecarlo.BLOCK_SIZE
+
+    def test_a_long_call_keeps_a_bounded_number_of_blocks_in_flight(self, monkeypatch):
+        trials = 11 * montecarlo.BLOCK_SIZE + 7
+        expected = (outage_flags(PIN_N1, OS, trials, 6), simulate_outage(PIN_N1, OS, trials, 6))
+        in_flight, peak = set(), [0]
+
+        class Counted(Future):
+            def result(self, timeout=None):
+                in_flight.discard(self)
+                return super().result(timeout)
+
+        class InlinePool:
+            def submit(self, fn, *args):
+                future = Counted()
+                future.set_result(fn(*args))
+                in_flight.add(future)
+                peak[0] = max(peak[0], len(in_flight))
+                return future
+
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_executor", InlinePool)
+        got = (outage_flags(PIN_N1, OS, trials, 6), simulate_outage(PIN_N1, OS, trials, 6))
+        assert peak[0] == 4
+        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+
+    def test_returned_flags_own_their_memory(self):
+        first = outage_flags(PIN_N4, TS, 1_000, 1)
+        kept = first.copy()
+        outage_flags(PIN_N4, SS_SR, 1_000, 2)
+        outage_flags(PIN_N4, TS, 3 * montecarlo.BLOCK_SIZE, 3)
+        assert np.array_equal(first, kept)
+
+    def test_forked_child_simulates_after_the_parent_made_the_pool(self):
+        expected = simulate_outage(PIN_N4, OS, 3 * montecarlo.BLOCK_SIZE, 5)
+        assert montecarlo._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_fork_child_simulates, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=30)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == expected
+        assert child.exitcode == 0
+
+
+class TestZeroRedraw:
+    def test_exact_zero_is_redrawn_from_the_same_generator(self, monkeypatch):
+        cfg = random_config(np.random.default_rng(40), 2)
+        trials, seed, pos = 50, 3, (7, 1, 0)
+        real = montecarlo.block_generator
+
+        class ZeroOnFirstFill:
+            """The block's own Philox stream, with an exact 0.0 planted in
+            its first fill; records every draw request."""
+
+            def __init__(self, *key):
+                self.gen = real(*key)
+                self.requests = []
+
+            def random(self, size=None, out=None):
+                self.requests.append("fill" if out is not None else size)
+                values = self.gen.random(size, out=out)
+                if len(self.requests) == 1:
+                    values[pos] = 0.0
+                return values
+
+        stubs = []
+
+        def stub_generator(*key):
+            stubs.append(ZeroOnFirstFill(*key))
+            return stubs[-1]
+
+        monkeypatch.setattr(montecarlo, "block_generator", stub_generator)
+        flags = outage_flags(cfg, TS, trials, seed)
+        assert [s.requests for s in stubs] == [["fill", 1]]
+
+        replay = real(seed, 0)
+        u = replay.random((trials, cfg.n_relays, 3))
+        u[pos] = replay.random(1)[0]
+        rates = np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
+        g = -np.log(u) / rates
+        assert np.isfinite(g).all()
+        for t in range(trials):
+            real_t = make_real(g[t, :, 0], g[t, :, 1], g[t, :, 2])
+            k = reference_pick(TS, cfg, real_t)
+            rate = secrecy_rate(real_t.gamma_main[k - 1], real_t.gamma_eve[k - 1])
+            assert bool(flags[t]) == (rate < cfg.rate_rs), t

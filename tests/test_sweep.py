@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+from importlib import metadata
 
 import pytest
 
+import relaysec
 from relaysec import (
     ALL_SCHEMES,
     RelayLinkParams,
@@ -366,6 +368,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "fig9", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
+    def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
+        spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "malformed sweep spec" in capsys.readouterr().err
+
+    def test_manifest_version_falls_back_to_the_package_version(self, tmp_path, monkeypatch):
+        def missing(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(metadata, "version", missing)
+        out = tmp_path / "f5.csv"
+        assert main(["figure", "fig5", "--out", str(out), "--trials", "0"]) == 0
+        manifest = json.loads((tmp_path / "f5.manifest.json").read_text())
+        assert manifest["tool_version"] == relaysec.__version__ == "0.1.0"
 
     def test_unwritable_destination_exits_4(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
