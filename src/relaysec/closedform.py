@@ -29,10 +29,15 @@ axis for SS-RE), and B_k the selected branch's min-of-hops rate.  The empty
 subset contributes W_k(B_k), which makes the N = 1 case collapse to the
 single-relay expression with no special handling.
 
-At high SNR the alternating subset sum cancels almost completely; when the
-surviving value is small relative to the largest term, the per-relay sum is
-re-evaluated in extended precision so the result stays meaningful far past
-the float64 cancellation floor.
+At high SNR the alternating subset sum cancels almost completely.  When the
+surviving value is small relative to the largest term, T_k is taken instead
+from the positive integral that the subset sum expands,
+
+    T_k = int_0^inf s_k e^{-s_k t} prod_{i != k} (1 - e^{-c_i t}) h_k(t) dt,
+
+over relay k's metric t, where h_k, relay k's outage given t, is 1 up to
+t = rho-1 and then decays to a floor.  No factor cancels, so a Gauss-Legendre
+rule on geometric panels evaluates it to about 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .params import (
     OS,
@@ -75,10 +81,10 @@ __all__ = [
 # is treated as a numerical failure rather than round-off.
 CLAMP_TOL = 1e-9
 
-# Relative cancellation level below which a per-relay subset sum is redone in
-# extended precision.
+# Cancellation level below which a relay's float64 subset sum (about 11 digits
+# left at the guard) gives way to the product-form integral (about 1e-14).
 _CANCEL_GUARD = 1e-5
-_MP_DPS = 50
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
 class CancellationError(ArithmeticError):
@@ -121,11 +127,6 @@ def _kernel(main_rate: float, eve_rate: float, rho: float) -> float:
     fading with rate `eve_rate` at ratio threshold rho."""
     br = main_rate * rho
     return (br - eve_rate * math.expm1(-main_rate * (rho - 1.0))) / (br + eve_rate)
-
-
-def _kernel_mp(main_rate, eve_rate, rho):
-    br = main_rate * rho
-    return (br - eve_rate * mp.expm1(-main_rate * (rho - 1.0))) / (br + eve_rate)
 
 
 def single_relay_outage(relay: RelayLinkParams, rho: float) -> OutageProbability:
@@ -187,41 +188,37 @@ def _selection_sum(
         tail = signed_sum(subset_terms(weights, exclude=k + 1, max_weights=max_relays), term_value)
         total = lead + tail
         if n > 1 and abs(total) < _CANCEL_GUARD * peak:
-            total = _selection_sum_mp(weights, k, b_k, a_k, s_k, scale, rho)
+            total = _product_integral(b_k, a_k, s_k, scale * np.delete(weights, k), rho)
         contributions.append(total)
     return _as_probability(math.fsum(contributions), scheme)
 
 
-def _selection_sum_mp(
-    weights: list[float],
-    k: int,
-    b_k: float,
-    a_k: float,
-    s_k: float,
-    scale: float,
-    rho: float,
-) -> float:
-    """Extended-precision re-evaluation of one relay's subset sum.
+def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each interval between `edges`."""
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
 
-    Subset aggregates are rebuilt from the original weights so that the
-    alternating cancellation resolves exactly, not merely to float64.
-    """
-    others = [mp.mpf(w) for i, w in enumerate(weights) if i != k]
-    n = len(others)
-    with mp.workdps(_MP_DPS):
-        bk, ak, sk, sc, rh = map(mp.mpf, (b_k, a_k, s_k, scale, rho))
-        total = _kernel_mp(bk, ak, rh)
-        for mask in range(1, 1 << n):
-            agg = mp.mpf(0)
-            card = 0
-            for i in range(n):
-                if mask & (1 << i):
-                    agg += others[i]
-                    card += 1
-            c = sc * agg
-            v = (sk / (sk + c)) * _kernel_mp(bk + c, ak, rh)
-            total += -v if card & 1 else v
-        return float(total)
+
+def _product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray, rho: float) -> float:
+    """T_k from the module docstring, with c the competitors' metric rates.  Head
+    panels halve from rho-1 towards 0 until the fastest rate resolves them; tail
+    panels double away from rho-1 out to 90/s_k.  Needs s_k <= b_k (every scheme)."""
+    d = rho - 1.0
+    g = b_k - s_k
+    q = a_k / rho
+    delta = g + q
+    k_far = math.exp(-g * d) * q / delta
+    floor = (g - q * math.expm1(-g * d)) / delta
+    fast = max(float(c.max()), s_k)
+    n_head = max(0, math.frexp(d)[1] + math.frexp(fast)[1])
+    step = 1.0 / max(fast, delta)
+    n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
+    head_t, head_w = _panels(np.concatenate(([0.0], np.ldexp(d, -np.arange(n_head, -1, -1)))))
+    tail_x, tail_w = _panels(np.concatenate(([0.0], np.ldexp(step, np.arange(n_tail + 1)))))
+    t = np.concatenate((head_t, d + tail_x))
+    w = np.concatenate((head_w, tail_w * (floor + k_far * np.exp(-delta * tail_x))))
+    f = s_k * np.exp(-s_k * t) * (-np.expm1(-np.multiply.outer(t, c))).prod(axis=1)
+    return float(np.sum(w * f))
 
 
 def outage_ts(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> OutageProbability:

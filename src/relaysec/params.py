@@ -59,6 +59,8 @@ def rho_of_rate(rate_rs: float) -> float:
     transmission.  Strictly increasing in the rate; > 1 for any positive rate.
     """
     rate_rs = _require_positive_finite("rate_rs", rate_rs)
+    if rate_rs >= 512.0:
+        raise ConfigError(f"rate_rs must be below 512, where rho overflows, got {rate_rs!r}")
     return 2.0 ** (2.0 * rate_rs)
 
 
@@ -163,7 +165,7 @@ class SystemConfig:
             if not isinstance(r, RelayLinkParams):
                 raise ConfigError(f"relay entries must be RelayLinkParams, got {type(r).__name__}")
         object.__setattr__(self, "relays", relays)
-        _require_positive_finite("rate_rs", self.rate_rs)
+        rho_of_rate(self.rate_rs)
 
     @property
     def n_relays(self) -> int:

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -22,6 +24,69 @@ def quad_single_outage(relay: RelayLinkParams, rho: float) -> float:
 
     value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
     return value
+
+
+def _quad_pieces(f, d, scales, slowest):
+    """Integral over [0, inf) of f, which decays at least as fast as
+    e^{-slowest x}: [0, d], then pieces of [d, inf) growing 4x from the
+    fastest scale until past 100/slowest and negligible against the sum."""
+    parts = [integrate.quad(f, 0.0, d, epsabs=0.0, epsrel=1e-13, limit=200)[0]]
+    edge, step = d, 1.0 / max(scales)
+    while step < 100.0 / slowest or parts[-1] > 1e-17 * math.fsum(parts):
+        parts.append(integrate.quad(f, edge, d + step, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+        edge, step = d + step, 4.0 * step
+    return math.fsum(parts)
+
+
+def quad_selection_outage(cfg: SystemConfig, kind: str) -> float:
+    """TS, SS-RE, SS-RD or SS-SR outage as a sum over relays k of
+
+        int_0^inf s e^{-s x} prod_{i != k} (1 - e^{-c_i x}) h(x) dx,
+
+    with x relay k's selection metric (rate s), c_i competitor i's metric
+    rate on x's axis and h the probability that relay k is in outage given
+    x.  Nothing is expanded, so no term cancels; split at rho-1, where h
+    leaves 1.
+    """
+    rho = cfg.rho
+    d = rho - 1.0
+    terms = []
+    for k, relay in enumerate(cfg.relays):
+        others = [r for i, r in enumerate(cfg.relays) if i != k]
+        q = relay.eve_rate / rho
+        if kind in ("TS", "SS-RE"):
+            # x is the min-of-hops SNR; outage is the eavesdropper exceeding (x-d)/rho.
+            s = relay.main_rate
+            if kind == "TS":
+                cs = [r.main_rate for r in others]
+            else:
+                cs = [r.main_rate * relay.eve_rate / r.eve_rate for r in others]
+
+            def h(x, q=q):
+                return 1.0 if x <= d else math.exp(-q * (x - d))
+        else:
+            # x is one hop's SNR; the other hop u (rate o) may cap the branch
+            # below x: outage 1 for u <= d, e^{-q(u-d)} for d < u < x, and
+            # e^{-q(x-d)} for u >= x.
+            if kind == "SS-RD":
+                s, o, cs = relay.rd_rate, relay.sr_rate, [r.rd_rate for r in others]
+            else:
+                s, o, cs = relay.sr_rate, relay.rd_rate, [r.sr_rate for r in others]
+
+            def h(x, q=q, o=o):
+                if x <= d:
+                    return 1.0
+                capped = o * math.exp(-o * d) * -math.expm1(-(o + q) * (x - d)) / (o + q)
+                return -math.expm1(-o * d) + capped + math.exp(-o * x - q * (x - d))
+
+        def f(x, s=s, cs=cs, h=h):
+            value = s * math.exp(-s * x) * h(x)
+            for c in cs:
+                value *= -math.expm1(-c * x)
+            return value
+
+        terms.append(_quad_pieces(f, d, cs + [s, q], s))
+    return math.fsum(terms)
 
 
 def product_cdf(weights, x: float) -> float:

@@ -1,14 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import quad_single_outage, random_config
+from conftest import quad_selection_outage, quad_single_outage, random_config
 from relaysec import (
     ALL_SCHEMES,
     SS_RD,
     SS_RE,
     SS_SR,
+    TS,
     CancellationError,
     RelayLinkParams,
     SystemConfig,
@@ -26,6 +29,7 @@ from relaysec import (
     single_relay_outage,
     split_total_snr,
 )
+from relaysec import closedform
 from relaysec.closedform import _as_probability
 from relaysec.params import ConfigError
 
@@ -331,3 +335,47 @@ class TestMonotonicity:
             return SystemConfig(relays, rate_rs=0.6)
 
         self._assert_monotone(self._values(build, grid), increasing=True)
+
+
+def spread_config(n, snr_db, rate=0.5):
+    """n relays near snr_db on both hops, eavesdroppers spread over 0-9 dB."""
+    relays = tuple(
+        RelayLinkParams.from_mean_snr_db(
+            snr_db + 0.3 * i / (n - 1), snr_db - 0.2 * i / (n - 1), 9.0 * i / (n - 1)
+        )
+        for i in range(n)
+    )
+    return SystemConfig(relays, rate)
+
+
+class TestCancellationRegime:
+    """Multi-relay sums where the alternating subset expansion cancels."""
+
+    @pytest.mark.parametrize("n", [4, 8, 10, 12])
+    def test_selection_schemes_match_the_product_form_oracle(self, n):
+        for snr_db in (40.0, 60.0, 80.0):
+            cfg = spread_config(n, snr_db)
+            for scheme in (TS, SS_RE, SS_RD, SS_SR):
+                expected = quad_selection_outage(cfg, scheme.kind)
+                got = outage_for_scheme(cfg, scheme).p
+                assert got == pytest.approx(expected, rel=1e-9, abs=0.0), (scheme.label, snr_db)
+
+    def test_integral_matches_the_float64_sum_on_every_term(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        configs = [random_config(rng, int(rng.integers(2, 7))) for _ in range(40)]
+        # rho == 1 exactly (no head interval) and B*(rho-1) >> 1.
+        configs += [SystemConfig(c.relays, rate) for c in configs[:10] for rate in (1e-17, 20.0)]
+        assert configs[-2].rho == 1.0
+        # Single-hop rules at high SNR, where 1-K (K close to 1) must not be
+        # formed by subtraction.
+        configs.append(spread_config(4, 80.0))
+        schemes = (TS, SS_RE, SS_RD, SS_SR)
+        float64 = [[outage_for_scheme(cfg, s).p for s in schemes] for cfg in configs]
+        monkeypatch.setattr(closedform, "_CANCEL_GUARD", math.inf)
+        for cfg, row in zip(configs, float64):
+            for scheme, p in zip(schemes, row):
+                assert outage_for_scheme(cfg, scheme).p == pytest.approx(p, rel=1e-11, abs=0.0)
+
+    def test_package_imports_without_mpmath(self):
+        code = "import sys, relaysec, relaysec.cli; sys.exit('mpmath' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0

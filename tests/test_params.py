@@ -30,7 +30,7 @@ class TestRhoOfRate:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v > 1.0 for v in values)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 512.0])
     def test_rejects_nonpositive_or_nonfinite(self, bad):
         with pytest.raises(ConfigError):
             rho_of_rate(bad)
@@ -116,6 +116,8 @@ class TestSystemConfig:
             SystemConfig((), rate_rs=0.5)
         with pytest.raises(ConfigError):
             SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.0)
+        with pytest.raises(ConfigError):
+            SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=600.0)
 
     def test_swap_hops_round_trip(self):
         cfg = SystemConfig(

@@ -369,6 +369,15 @@ class TestCli:
             main(["figure", "fig9", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_overflowing_rate_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(self.write_config(tmp_path).read_text())
+        cfg["rate_rs"] = 600
+        path = tmp_path / "huge_rate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["outage", "--config", str(path)]) == 2
+        assert main(["gap", "3", "6", "600"]) == 2
+        assert capsys.readouterr().err.count("rate_rs must be below 512") == 2
+
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
         spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], field: value}
