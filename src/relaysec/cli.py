@@ -9,8 +9,8 @@ figure     run a published-experiment preset (fig2..fig5)
 diversity  fit decay orders on a previously emitted sweep CSV
 gap        dB penalty of an eavesdropper mean-SNR improvement
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-cancellation
-failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(cancellation beyond the clamp band, or a non-finite term), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .params import (
     rho_of_rate,
     single,
 )
-from .subsets import DEFAULT_MAX_WEIGHTS, SubsetSizeError
+from .subsets import DEFAULT_MAX_WEIGHTS, EvaluationError, SubsetSizeError
 from .sweep import FIGURE_NAMES, SweepSpec, figure_preset, render_csv, run_manifest, run_sweep
 
 EXIT_OK = 0
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SubsetSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CancellationError as exc:
+    except (CancellationError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _IOFailure as exc:

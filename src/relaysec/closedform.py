@@ -126,6 +126,8 @@ def _kernel(main_rate: float, eve_rate: float, rho: float) -> float:
     """Outage of one branch: min-hop rate `main_rate` against eavesdropper
     fading with rate `eve_rate` at ratio threshold rho."""
     br = main_rate * rho
+    if br == math.inf:  # B*rho past float64 (rate_rs near 512): the limit is 1
+        return 1.0
     return (br - eve_rate * math.expm1(-main_rate * (rho - 1.0))) / (br + eve_rate)
 
 

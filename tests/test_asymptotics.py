@@ -30,7 +30,7 @@ def balanced_config(n, hop_rate, eve_rate, rate_rs):
 class TestSingleBalanced:
     def test_hand_value(self):
         res = asymp_single_balanced(0.5, 2.0, 100.0)
-        assert res.value == pytest.approx(0.1, rel=1e-14)
+        assert res.value == pytest.approx(0.1, rel=1e-14, abs=0.0)
         assert res.slope_order == 1
         assert res.floor is None
 
@@ -49,11 +49,11 @@ class TestSingleUnbalanced:
         fixed, eve, rho = 0.2, 0.5, 2.0
         res = asymp_single_unbalanced(fixed, eve, rho, 1e4)
         expected_floor = 1.0 - eve * math.exp(-fixed * (rho - 1)) / (rho * fixed + eve)
-        assert res.floor == pytest.approx(expected_floor, rel=1e-14)
+        assert res.floor == pytest.approx(expected_floor, rel=1e-14, abs=0.0)
 
     def test_value_approaches_the_floor(self):
         res_hi = asymp_single_unbalanced(0.2, 0.5, 2.0, 1e12)
-        assert res_hi.value == pytest.approx(res_hi.floor, rel=1e-10)
+        assert res_hi.value == pytest.approx(res_hi.floor, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("fixed_db", [25.0, 30.0, 35.0])
     def test_varying_term_crosses_the_floor_at_the_pinned_snr(self, fixed_db):
@@ -76,7 +76,7 @@ class TestBestSelectionBalanced:
 
     def test_hand_value_two_relays(self):
         res = asymp_os_balanced([0.5, 0.5], 2.0, 100.0)
-        assert res.value == pytest.approx(0.01, rel=1e-14)
+        assert res.value == pytest.approx(0.01, rel=1e-14, abs=0.0)
         assert res.slope_order == 2
 
     def test_monomial_slope(self):
@@ -103,7 +103,7 @@ class TestBestSelectionFloor:
     def test_single_relay_matches_the_one_branch_floor(self):
         res = asymp_os_unbalanced_floor([0.3], [0.8], 2.0)
         expected = asymp_single_unbalanced(0.3, 0.8, 2.0, 1e9).floor
-        assert res.floor == pytest.approx(expected, rel=1e-12)
+        assert res.floor == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_product_of_per_relay_floors(self):
         fixed = [0.2, 0.4, 0.15]
@@ -112,19 +112,19 @@ class TestBestSelectionFloor:
         product = 1.0
         for b, a in zip(fixed, eves):
             product *= asymp_single_unbalanced(b, a, 2.0, 1e9).floor
-        assert res.floor == pytest.approx(product, rel=1e-10)
+        assert res.floor == pytest.approx(product, rel=1e-10, abs=0.0)
         assert res.value == res.floor
 
     def test_identical_relays_square_the_floor(self):
         one = asymp_os_unbalanced_floor([0.25], [0.9], 2.0).floor
         two = asymp_os_unbalanced_floor([0.25, 0.25], [0.9, 0.9], 2.0).floor
-        assert two == pytest.approx(one**2, rel=1e-12)
+        assert two == pytest.approx(one**2, rel=1e-12, abs=0.0)
 
 
 class TestStrongestMainChannelBalanced:
     def test_hand_value_one_relay(self):
         res = asymp_ts_balanced([1.0], 2.0, 100.0)
-        assert res.value == pytest.approx(0.03, rel=1e-14)
+        assert res.value == pytest.approx(0.03, rel=1e-14, abs=0.0)
         assert res.slope_order == 1
 
     def test_monomial_slope(self):

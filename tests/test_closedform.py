@@ -42,7 +42,7 @@ class TestSingleRelay:
     def test_matches_quadrature_value(self):
         relay = RelayLinkParams(1.0, 1.0, 1.0)
         p = single_relay_outage(relay, 2.0).p
-        assert p == pytest.approx(1.0 - math.exp(-2.0) / 5.0, rel=1e-14)
+        assert p == pytest.approx(1.0 - math.exp(-2.0) / 5.0, rel=1e-14, abs=0.0)
         assert p == pytest.approx(quad_single_outage(relay, 2.0), abs=1e-10)
 
     def test_perfect_main_channel_drives_outage_to_zero(self):
@@ -50,14 +50,16 @@ class TestSingleRelay:
         assert 0.0 < p < 1e-11
 
     def test_huge_rate_forces_outage(self):
-        rho = rho_of_rate(20.0)
-        p = single_relay_outage(RelayLinkParams(1.0, 1.0, 1.0), rho).p
-        assert p == pytest.approx(1.0, abs=1e-12)
+        # At rate 511 with main rate 4, B*rho overflows float64; the limit is 1.
+        for hop_rate, rate in [(1.0, 20.0), (2.0, 511.0)]:
+            rho = rho_of_rate(rate)
+            p = single_relay_outage(RelayLinkParams(hop_rate, hop_rate, 1.0), rho).p
+            assert p == pytest.approx(1.0, abs=1e-12), rate
 
     def test_rho_one_limit(self):
         relay = RelayLinkParams(0.7, 0.5, 2.0)
         p = single_relay_outage(relay, 1.0).p
-        assert p == pytest.approx(relay.main_rate / (relay.main_rate + 2.0), rel=1e-14)
+        assert p == pytest.approx(relay.main_rate / (relay.main_rate + 2.0), rel=1e-14, abs=0.0)
 
     def test_rejects_rho_below_one(self):
         with pytest.raises(ConfigError):
@@ -96,7 +98,7 @@ class TestBestSecrecySelection:
     def test_product_of_identical_relays(self):
         cfg = iid_config(2, 1.0, 1.0, 1.0)
         p1 = single_relay_outage(cfg.relays[0], cfg.rho).p
-        assert outage_os(cfg).p == pytest.approx(p1**2, rel=1e-15)
+        assert outage_os(cfg).p == pytest.approx(p1**2, rel=1e-15, abs=0.0)
 
     def test_single_relay_collapse(self):
         cfg = iid_config(1, 0.8, 1.3, 0.6, rate=0.7)
@@ -116,7 +118,7 @@ class TestBestSecrecySelection:
         product = 1.0
         for r in cfg.relays:
             product *= single_relay_outage(r, cfg.rho).p
-        assert outage_os(cfg).p == pytest.approx(product, rel=1e-14)
+        assert outage_os(cfg).p == pytest.approx(product, rel=1e-14, abs=0.0)
 
 
 class TestStrongestMainChannelSelection:
@@ -132,7 +134,7 @@ class TestStrongestMainChannelSelection:
         dead = RelayLinkParams(5e5, 5e5, 1.0)
         cfg = SystemConfig((strong, dead), rate_rs=0.5)
         expected = single_relay_outage(strong, cfg.rho).p
-        assert outage_ts(cfg).p == pytest.approx(expected, rel=1e-4)
+        assert outage_ts(cfg).p == pytest.approx(expected, rel=1e-4, abs=0.0)
 
 
 class TestEavesdropperWeightedSelection:

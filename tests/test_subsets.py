@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import product_cdf
 from relaysec import signed_sum, subset_terms
-from relaysec.subsets import EvaluationError, SubsetSizeError
+from relaysec.subsets import EvaluationError, SignedSubsetTerm, SubsetSizeError
 
 
 def terms_list(weights, exclude=None, **kw):
@@ -62,6 +64,58 @@ class TestEnumeration:
             terms_list([1.0], exclude=3)
 
 
+def reference_terms(weights, exclude=None):
+    """The per-mask loop form of the enumeration: each mask's bits summed in
+    ascending index order, masks in binary counter order."""
+    w = [float(x) for x in weights]
+    if exclude is not None:
+        w = w[: exclude - 1] + w[exclude:]
+    n = len(w)
+    for mask in range(1, 1 << n):
+        total = 0.0
+        card = 0
+        for i in range(n):
+            if mask & (1 << i):
+                total += w[i]
+                card += 1
+        yield (-1 if card & 1 else 1, total, card)
+
+
+class TestEnumerationReference:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_terms_match_the_per_mask_loop_bit_for_bit(self, n):
+        # Weights over six decades, so a different association of the same
+        # additions would round differently.
+        rng = np.random.default_rng(100 + n)
+        weights = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n)).tolist()
+        for exclude in [None, *range(1, n + 1)]:
+            got = [(t.sign, t.beta_prime, t.cardinality) for t in terms_list(weights, exclude)]
+            assert got == list(reference_terms(weights, exclude)), exclude
+
+    def test_twenty_weight_enumeration_holds_bounded_memory(self):
+        weights = [1.0 + i / 7.0 for i in range(20)]
+        tracemalloc.start()
+        try:
+            terms = subset_terms(weights)
+            consumed = sum(1 for _ in islice(terms, 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+            terms.close()
+        finally:
+            tracemalloc.stop()
+        assert consumed == 4096
+        assert peak < 1 << 20
+        got = [(t.sign, t.beta_prime, t.cardinality) for t in islice(subset_terms(weights), 4096)]
+        assert got == list(islice(reference_terms(weights), 4096))
+
+    def test_term_is_an_immutable_named_record(self):
+        term = terms_list([0.5])[0]
+        assert type(term) is SignedSubsetTerm
+        assert term == SignedSubsetTerm(sign=-1, beta_prime=0.5, cardinality=1)
+        assert SignedSubsetTerm._fields == ("sign", "beta_prime", "cardinality")
+        with pytest.raises(AttributeError):
+            term.sign = 1
+
+
 class TestSignedSum:
     def test_counting_with_signs(self):
         assert signed_sum(subset_terms([0.4, 1.1]), lambda t: 1.0) == -1.0
@@ -74,7 +128,7 @@ class TestSignedSum:
         # max of two unit-rate exponentials at x = ln 2: CDF is (1 - 1/2)^2
         x = math.log(2.0)
         total = 1.0 + signed_sum(subset_terms([1.0, 1.0]), lambda t: math.exp(-x * t.beta_prime))
-        assert total == pytest.approx(0.25, rel=1e-12)
+        assert total == pytest.approx(0.25, rel=1e-12, abs=0.0)
 
     def test_cdf_reconstruction_fuzz(self):
         rng = np.random.default_rng(42)
@@ -85,7 +139,7 @@ class TestSignedSum:
             rebuilt = 1.0 + signed_sum(
                 subset_terms(weights), lambda t: math.exp(-x * t.beta_prime)
             )
-            assert rebuilt == pytest.approx(product_cdf(weights, x), rel=1e-10)
+            assert rebuilt == pytest.approx(product_cdf(weights, x), rel=1e-10, abs=0.0)
 
     def test_propagates_nonfinite_values(self):
         with pytest.raises(EvaluationError):

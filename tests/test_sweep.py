@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from importlib import metadata
@@ -19,8 +20,10 @@ from relaysec import (
     single,
     single_relay_outage,
 )
+from relaysec import cli
 from relaysec.cli import main
 from relaysec.params import ConfigError
+from relaysec.subsets import EvaluationError
 from relaysec.sweep import CSV_HEADER, FixedHop, render_csv
 
 
@@ -77,9 +80,9 @@ class TestRunSweep:
         for row, grid_db in zip(rows, (20.0, 40.0, 60.0)):
             total = db_to_linear(grid_db)
             relay = RelayLinkParams(1.0 / (0.5 * total), 1.0 / (0.5 * total), 1.0)
-            assert row.p_closed == pytest.approx(single_relay_outage(relay, 2.0).p, rel=1e-12)
+            assert row.p_closed == pytest.approx(single_relay_outage(relay, 2.0).p, rel=1e-12, abs=0.0)
             expected = asymp_single_balanced(1.0, 2.0, 0.5 * total).value
-            assert row.p_asymp == pytest.approx(expected, rel=1e-12)
+            assert row.p_asymp == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert row.p_mc is None and row.mc_stderr is None and row.floor is None
 
     def test_simulation_disabled_by_zero_trials(self):
@@ -223,6 +226,30 @@ class TestCsvEmission:
     def test_rerun_is_byte_identical(self):
         spec = single_relay_spec(mc_trials=1500, seed=77)
         assert render_csv(run_sweep(spec)) == render_csv(run_sweep(spec))
+
+    def test_high_snr_closed_form_curves_match_the_pinned_digest(self):
+        # Closed forms only, one curve per (scheme, N, rate): N = 4 and 8 at
+        # rates 0.5/2.0 with source-relay splits 0.3/0.7, N = 10 at rate 0.5
+        # with split 0.3, 0-80 dB in 10 dB steps, eavesdroppers spread evenly
+        # over 0-9 dB.  The digest was recorded before the subset enumeration
+        # was rewritten, so every p_closed must stay bit for bit.
+        families = ((4, (0.5, 2.0), (0.3, 0.7)), (8, (0.5, 2.0), (0.3, 0.7)), (10, (0.5,), (0.3,)))
+        digest = hashlib.sha256()
+        for scheme in ALL_SCHEMES:
+            for n, rates, splits in families:
+                for rate, split in zip(rates, splits):
+                    spec = SweepSpec(
+                        snr_grid_db=tuple(float(x) for x in range(0, 81, 10)),
+                        rates=(rate,),
+                        schemes=(scheme,),
+                        n_relays=n,
+                        power_split_sr=split,
+                        eaves_snr_db=tuple(9.0 * i / (n - 1) for i in range(n)),
+                    )
+                    digest.update(render_csv(run_sweep(spec)).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "d66a439df9f6261daec661abb818eed7b8dc31121e73dcc7f0aa3559ba2e73b7"
+        )
 
 
 class TestManifest:
@@ -377,6 +404,33 @@ class TestCli:
         assert main(["outage", "--config", str(path)]) == 2
         assert main(["gap", "3", "6", "600"]) == 2
         assert capsys.readouterr().err.count("rate_rs must be below 512") == 2
+
+    # Near rate 512, B*rho overflows float64 in the kernel: with relay 1's hops
+    # at -3 dB in the selection sums only, at -4 dB in every scheme.
+    @pytest.mark.parametrize("low_db", [-3.0, -4.0])
+    def test_rate_511_outage_is_one(self, tmp_path, capsys, low_db):
+        cfg = {
+            "relays": [
+                {"sr_snr_db": low_db, "rd_snr_db": low_db, "eve_snr_db": low_db},
+                {"sr_snr_db": 0.0, "rd_snr_db": 0.0, "eve_snr_db": 0.0},
+            ],
+            "rate_rs": 511,
+        }
+        path = tmp_path / "rate511.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["outage", "--config", str(path)]) == 0
+        lines = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
+        assert set(lines) == {"OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS", "SINGLE:1", "SINGLE:2"}
+        for label, value in lines.items():
+            assert abs(float(value) - 1.0) <= 1e-12, label
+
+    def test_non_finite_subset_term_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise EvaluationError("term evaluated to non-finite nan")
+
+        monkeypatch.setattr(cli, "outage_for_scheme", failing)
+        assert main(["outage", "--config", str(self.write_config(tmp_path))]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
