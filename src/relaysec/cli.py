@@ -36,7 +36,7 @@ from .params import (
     rho_of_rate,
     single,
 )
-from .subsets import DEFAULT_MAX_WEIGHTS, EvaluationError, SubsetSizeError
+from .subsets import EvaluationError
 from .sweep import FIGURE_NAMES, SweepSpec, figure_preset, render_csv, run_manifest, run_sweep
 
 EXIT_OK = 0
@@ -104,7 +104,7 @@ def _cmd_outage(args: argparse.Namespace) -> int:
     schemes = list(ALL_SCHEMES) + [single(k) for k in range(1, cfg.n_relays + 1)]
     lines = []
     for scheme in schemes:
-        result = outage_for_scheme(cfg, scheme, max_relays=args.max_n)
+        result = outage_for_scheme(cfg, scheme)
         lines.append(f"{scheme.label}\t{result.p!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -125,14 +125,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_family(
-    family: tuple[tuple[str, SweepSpec], ...], out: str, max_n: int
-) -> int:
+def _run_family(family: tuple[tuple[str, SweepSpec], ...], out: str) -> int:
     base = Path(out)
     written = []
     manifests = []
     for label, spec in family:
-        rows = run_sweep(spec, max_relays=max_n)
+        rows = run_sweep(spec)
         path = _variant_path(base, label)
         _write_text(path, render_csv(rows))
         written.append(str(path))
@@ -161,13 +159,13 @@ def _apply_overrides(base: SweepSpec | None, args: argparse.Namespace) -> SweepS
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_family((("", _apply_overrides(None, args)),), args.out, args.max_n)
+    return _run_family((("", _apply_overrides(None, args)),), args.out)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     family = figure_preset(args.name)
     family = tuple((label, _apply_overrides(spec, args)) for label, spec in family)
-    return _run_family(family, args.out, args.max_n)
+    return _run_family(family, args.out)
 
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
@@ -218,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_WEIGHTS,
-                       help="relay-count cap for the subset expansions")
+        p.add_argument("--max-n", type=int, help="ignored; kept so older command lines parse")
         p.add_argument("--out", required=out_required, help="output path")
 
     p = sub.add_parser("outage", help="closed-form outage for one config")
@@ -269,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SubsetSizeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CancellationError, EvaluationError) as exc:

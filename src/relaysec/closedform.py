@@ -29,15 +29,17 @@ axis for SS-RE), and B_k the selected branch's min-of-hops rate.  The empty
 subset contributes W_k(B_k), which makes the N = 1 case collapse to the
 single-relay expression with no special handling.
 
-At high SNR the alternating subset sum cancels almost completely.  When the
-surviving value is small relative to the largest term, T_k is taken instead
-from the positive integral that the subset sum expands,
+The sum has 2^(N-1) terms and at high SNR cancels almost completely.  T_k is
+also the positive integral that the sum expands,
 
     T_k = int_0^inf s_k e^{-s_k t} prod_{i != k} (1 - e^{-c_i t}) h_k(t) dt,
 
 over relay k's metric t, where h_k, relay k's outage given t, is 1 up to
 t = rho-1 and then decays to a floor.  No factor cancels, so a Gauss-Legendre
-rule on geometric panels evaluates it to about 1e-14 relative.
+rule on geometric panels evaluates it to about 1e-15 relative in time linear
+in N.  T_k is the float64 subset sum for at most _SUM_MAX_RELAYS relays unless
+the sum cancels past _CANCEL_GUARD, and the integral otherwise; any N >= 1 is
+evaluated.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .params import (
     SystemConfig,
     single,
 )
-from .subsets import DEFAULT_MAX_WEIGHTS, signed_sum, subset_terms
+from .subsets import signed_sum, subset_terms
 
 __all__ = [
     "OutageProbability",
@@ -82,8 +84,13 @@ __all__ = [
 CLAMP_TOL = 1e-9
 
 # Cancellation level below which a relay's float64 subset sum (about 11 digits
-# left at the guard) gives way to the product-form integral (about 1e-14).
+# left at the guard) gives way to the product-form integral (about 1e-15).
 _CANCEL_GUARD = 1e-5
+# Largest relay count whose T_k are tried as float64 subset sums first.  On a
+# 2-core VM a cell that does not cancel took 0.37 ms summed and 0.64-0.92 ms
+# integrated at N = 6, tied at N = 7 and lost at N = 8 (1.6-1.8 ms against
+# 0.87-1.26 ms); the sum's error also grows with N (1.3e-12 at N = 10).
+_SUM_MAX_RELAYS = 6
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
@@ -159,7 +166,6 @@ def _selection_sum(
     select_rates: list[float],
     weights: list[float],
     couple_scales: list[float],
-    max_relays: int,
 ) -> OutageProbability:
     """Assemble sum_k T_k for a metric-based selection scheme.
 
@@ -176,22 +182,23 @@ def _selection_sum(
         a_k = cfg.relays[k].eve_rate
         s_k = select_rates[k]
         scale = couple_scales[k]
-        lead = _kernel(b_k, a_k, rho)
-        peak = abs(lead)
+        if n <= _SUM_MAX_RELAYS:
+            lead = _kernel(b_k, a_k, rho)
+            peak = abs(lead)
 
-        def term_value(term, _bk=b_k, _ak=a_k, _sk=s_k, _sc=scale):
-            nonlocal peak
-            c = _sc * term.beta_prime
-            v = (_sk / (_sk + c)) * _kernel(_bk + c, _ak, rho)
-            if v > peak:
-                peak = v
-            return v
+            def term_value(term, _bk=b_k, _ak=a_k, _sk=s_k, _sc=scale):
+                nonlocal peak
+                c = _sc * term.beta_prime
+                v = (_sk / (_sk + c)) * _kernel(_bk + c, _ak, rho)
+                if v > peak:
+                    peak = v
+                return v
 
-        tail = signed_sum(subset_terms(weights, exclude=k + 1, max_weights=max_relays), term_value)
-        total = lead + tail
-        if n > 1 and abs(total) < _CANCEL_GUARD * peak:
-            total = _product_integral(b_k, a_k, s_k, scale * np.delete(weights, k), rho)
-        contributions.append(total)
+            total = lead + signed_sum(subset_terms(weights, exclude=k + 1), term_value)
+            if n == 1 or abs(total) >= _CANCEL_GUARD * peak:
+                contributions.append(total)
+                continue
+        contributions.append(_product_integral(b_k, a_k, s_k, scale * np.delete(weights, k), rho))
     return _as_probability(math.fsum(contributions), scheme)
 
 
@@ -219,17 +226,20 @@ def _product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray, rho: fl
     tail_x, tail_w = _panels(np.concatenate(([0.0], np.ldexp(step, np.arange(n_tail + 1)))))
     t = np.concatenate((head_t, d + tail_x))
     w = np.concatenate((head_w, tail_w * (floor + k_far * np.exp(-delta * tail_x))))
-    f = s_k * np.exp(-s_k * t) * (-np.expm1(-np.multiply.outer(t, c))).prod(axis=1)
+    # Near rate_rs 512, s_k*t and t*c overflow to inf; the factors e^{-inf} = 0
+    # and 1 - e^{-inf} = 1 are the intended limits.
+    with np.errstate(over="ignore"):
+        f = s_k * np.exp(-s_k * t) * (-np.expm1(-np.multiply.outer(t, c))).prod(axis=1)
     return float(np.sum(w * f))
 
 
-def outage_ts(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> OutageProbability:
+def outage_ts(cfg: SystemConfig) -> OutageProbability:
     """Outage when the relay with the strongest min-of-hops SNR is selected."""
     main = [r.main_rate for r in cfg.relays]
-    return _selection_sum(cfg, TS, main, main, [1.0] * cfg.n_relays, max_relays)
+    return _selection_sum(cfg, TS, main, main, [1.0] * cfg.n_relays)
 
 
-def outage_ss_re(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> OutageProbability:
+def outage_ss_re(cfg: SystemConfig) -> OutageProbability:
     """Outage when selection weights each min-of-hops SNR by the relay's own
     eavesdropper link rate (statistics of the leak channel).
 
@@ -239,21 +249,21 @@ def outage_ss_re(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> Ou
     main = [r.main_rate for r in cfg.relays]
     weights = [r.main_rate / r.eve_rate for r in cfg.relays]
     scales = [r.eve_rate for r in cfg.relays]
-    return _selection_sum(cfg, SS_RE, main, weights, scales, max_relays)
+    return _selection_sum(cfg, SS_RE, main, weights, scales)
 
 
-def outage_ss_rd(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> OutageProbability:
+def outage_ss_rd(cfg: SystemConfig) -> OutageProbability:
     """Outage when only the relay-destination hop SNR drives the selection."""
     rd = [r.rd_rate for r in cfg.relays]
-    return _selection_sum(cfg, SS_RD, rd, rd, [1.0] * cfg.n_relays, max_relays)
+    return _selection_sum(cfg, SS_RD, rd, rd, [1.0] * cfg.n_relays)
 
 
-def outage_ss_sr(cfg: SystemConfig, max_relays: int = DEFAULT_MAX_WEIGHTS) -> OutageProbability:
+def outage_ss_sr(cfg: SystemConfig) -> OutageProbability:
     """Outage when only the source-relay hop SNR drives the selection.
 
     Mirror image of SS-RD under a hop swap, and computed exactly that way.
     """
-    swapped = outage_ss_rd(cfg.swap_hops(), max_relays=max_relays)
+    swapped = outage_ss_rd(cfg.swap_hops())
     return OutageProbability(swapped.p, SS_SR, swapped.clamped)
 
 
@@ -278,24 +288,14 @@ def outage_ps(cfg: SystemConfig) -> OutageProbability:
     return OutageProbability(p.p, PS, p.clamped)
 
 
-def outage_for_scheme(
-    cfg: SystemConfig,
-    scheme: SelectionScheme,
-    max_relays: int = DEFAULT_MAX_WEIGHTS,
-) -> OutageProbability:
+_EVALUATORS = {"OS": outage_os, "TS": outage_ts, "SS-RE": outage_ss_re,
+               "SS-RD": outage_ss_rd, "SS-SR": outage_ss_sr, "PS": outage_ps}
+
+
+def outage_for_scheme(cfg: SystemConfig, scheme: SelectionScheme) -> OutageProbability:
     """Dispatch a scheme to its closed-form evaluator."""
     scheme.validate_for(cfg)
-    if scheme.kind == "OS":
-        return outage_os(cfg)
-    if scheme.kind == "TS":
-        return outage_ts(cfg, max_relays)
-    if scheme.kind == "SS-RE":
-        return outage_ss_re(cfg, max_relays)
-    if scheme.kind == "SS-RD":
-        return outage_ss_rd(cfg, max_relays)
-    if scheme.kind == "SS-SR":
-        return outage_ss_sr(cfg, max_relays)
-    if scheme.kind == "PS":
-        return outage_ps(cfg)
+    if scheme.kind in _EVALUATORS:
+        return _EVALUATORS[scheme.kind](cfg)
     p = single_relay_outage(cfg.relays[scheme.relay - 1], cfg.rho)
     return OutageProbability(p.p, scheme, p.clamped)

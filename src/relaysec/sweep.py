@@ -41,7 +41,6 @@ from .params import (
     single,
     split_total_snr,
 )
-from .subsets import DEFAULT_MAX_WEIGHTS
 
 __all__ = [
     "FixedHop",
@@ -289,7 +288,7 @@ def _asymptote_columns(
     return None, None
 
 
-def run_sweep(spec: SweepSpec, max_relays: int = DEFAULT_MAX_WEIGHTS) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per scheme x rate x grid point.
 
     Closed forms are always computed; simulation columns appear when
@@ -302,7 +301,7 @@ def run_sweep(spec: SweepSpec, max_relays: int = DEFAULT_MAX_WEIGHTS) -> list[Sw
             split = spec.split_for_rate(ri)
             for gi, grid_db in enumerate(spec.snr_grid_db):
                 cfg = _build_config(spec, rate, split, grid_db)
-                closed = outage_for_scheme(cfg, scheme, max_relays=max_relays)
+                closed = outage_for_scheme(cfg, scheme)
                 p_mc = mc_stderr = None
                 if spec.mc_trials > 0:
                     est = simulate_outage(

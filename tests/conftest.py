@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -38,6 +39,19 @@ def _quad_pieces(f, d, scales, slowest):
     return math.fsum(parts)
 
 
+def _selection_rates(cfg: SystemConfig, kind: str, k: int):
+    """Relay k's metric rate s and its competitors' metric rates on its axis."""
+    relay = cfg.relays[k]
+    others = [r for i, r in enumerate(cfg.relays) if i != k]
+    if kind == "TS":
+        return relay.main_rate, [r.main_rate for r in others]
+    if kind == "SS-RE":
+        return relay.main_rate, [r.main_rate * relay.eve_rate / r.eve_rate for r in others]
+    if kind == "SS-RD":
+        return relay.rd_rate, [r.rd_rate for r in others]
+    return relay.sr_rate, [r.sr_rate for r in others]
+
+
 def quad_selection_outage(cfg: SystemConfig, kind: str) -> float:
     """TS, SS-RE, SS-RD or SS-SR outage as a sum over relays k of
 
@@ -52,26 +66,17 @@ def quad_selection_outage(cfg: SystemConfig, kind: str) -> float:
     d = rho - 1.0
     terms = []
     for k, relay in enumerate(cfg.relays):
-        others = [r for i, r in enumerate(cfg.relays) if i != k]
+        s, cs = _selection_rates(cfg, kind, k)
         q = relay.eve_rate / rho
         if kind in ("TS", "SS-RE"):
             # x is the min-of-hops SNR; outage is the eavesdropper exceeding (x-d)/rho.
-            s = relay.main_rate
-            if kind == "TS":
-                cs = [r.main_rate for r in others]
-            else:
-                cs = [r.main_rate * relay.eve_rate / r.eve_rate for r in others]
-
             def h(x, q=q):
                 return 1.0 if x <= d else math.exp(-q * (x - d))
         else:
             # x is one hop's SNR; the other hop u (rate o) may cap the branch
             # below x: outage 1 for u <= d, e^{-q(u-d)} for d < u < x, and
             # e^{-q(x-d)} for u >= x.
-            if kind == "SS-RD":
-                s, o, cs = relay.rd_rate, relay.sr_rate, [r.rd_rate for r in others]
-            else:
-                s, o, cs = relay.sr_rate, relay.rd_rate, [r.sr_rate for r in others]
+            o = relay.sr_rate if kind == "SS-RD" else relay.rd_rate
 
             def h(x, q=q, o=o):
                 if x <= d:
@@ -87,6 +92,37 @@ def quad_selection_outage(cfg: SystemConfig, kind: str) -> float:
 
         terms.append(_quad_pieces(f, d, cs + [s, q], s))
     return math.fsum(terms)
+
+
+def mp_selection_outage(cfg: SystemConfig, kind: str, dps: int = 90) -> float:
+    """TS, SS-RE, SS-RD or SS-SR outage as the paper's inclusion-exclusion sum
+    over subsets A of relay k's competitors, summed over relays k,
+
+        (-1)^|A| s/(s + c_A) (1 - a e^{-(B + c_A)(rho-1)} / ((B + c_A) rho + a)),
+
+    in `dps`-digit arithmetic from the float64 inputs taken exactly.  s is
+    relay k's metric rate, c_A the summed metric rates of A on its axis, B its
+    min-of-hops rate and a its eavesdropper rate.  Each subset's sums and
+    exponential extend a smaller subset's by one member.
+    """
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(cfg.rho)
+        d = rho - 1
+        total = mpmath.mpf(0)
+        for k, relay in enumerate(cfg.relays):
+            s, cs = _selection_rates(cfg, kind, k)
+            s, b, a = mpmath.mpf(s), mpmath.mpf(relay.main_rate), mpmath.mpf(relay.eve_rate)
+            # (sign, s + c_A, (B + c_A) rho + a, a e^{-(B + c_A) d})
+            subsets = [(1, s, b * rho + a, a * mpmath.exp(-b * d))]
+            for c in map(mpmath.mpf, cs):
+                c_rho, fade = c * rho, mpmath.exp(-c * d)
+                subsets += [(-sign, sc + c, den + c_rho, e * fade) for sign, sc, den, e in subsets]
+            part = mpmath.mpf(0)
+            for sign, sc, den, e in subsets:
+                term = (den - e) / (sc * den)
+                part = part + term if sign > 0 else part - term
+            total += s * part
+        return float(total)
 
 
 def product_cdf(weights, x: float) -> float:

@@ -5,7 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import quad_selection_outage, quad_single_outage, random_config
+from conftest import (
+    mp_selection_outage,
+    quad_selection_outage,
+    quad_single_outage,
+    random_config,
+)
 from relaysec import (
     ALL_SCHEMES,
     SS_RD,
@@ -353,7 +358,7 @@ def spread_config(n, snr_db, rate=0.5):
 class TestCancellationRegime:
     """Multi-relay sums where the alternating subset expansion cancels."""
 
-    @pytest.mark.parametrize("n", [4, 8, 10, 12])
+    @pytest.mark.parametrize("n", [4, 8, 10, 12, 24, 32])
     def test_selection_schemes_match_the_product_form_oracle(self, n):
         for snr_db in (40.0, 60.0, 80.0):
             cfg = spread_config(n, snr_db)
@@ -377,6 +382,20 @@ class TestCancellationRegime:
         for cfg, row in zip(configs, float64):
             for scheme, p in zip(schemes, row):
                 assert outage_for_scheme(cfg, scheme).p == pytest.approx(p, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_selection_schemes_match_the_high_precision_subset_sum(self, n):
+        # Relay counts past closedform._SUM_MAX_RELAYS.  A float64 subset sum
+        # is about 1e-12 off at N = 10 (TS, 20 dB), so rel=1e-14 needs the
+        # integral.
+        for snr_db in (0.0, 10.0, 20.0, 30.0):
+            for rate in (0.5, 2.0):
+                cfg = spread_config(n, snr_db, rate)
+                for scheme in (TS, SS_RE, SS_RD, SS_SR):
+                    expected = mp_selection_outage(cfg, scheme.kind)
+                    got = outage_for_scheme(cfg, scheme).p
+                    assert got == pytest.approx(expected, rel=1e-14, abs=0.0), (
+                        scheme.label, snr_db, rate)
 
     def test_package_imports_without_mpmath(self):
         code = "import sys, relaysec, relaysec.cli; sys.exit('mpmath' in sys.modules)"

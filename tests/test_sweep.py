@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from importlib import metadata
 
 import pytest
@@ -231,8 +232,10 @@ class TestCsvEmission:
         # Closed forms only, one curve per (scheme, N, rate): N = 4 and 8 at
         # rates 0.5/2.0 with source-relay splits 0.3/0.7, N = 10 at rate 0.5
         # with split 0.3, 0-80 dB in 10 dB steps, eavesdroppers spread evenly
-        # over 0-9 dB.  The digest was recorded before the subset enumeration
-        # was rewritten, so every p_closed must stay bit for bit.
+        # over 0-9 dB.  The digest was re-recorded when relay counts above six
+        # moved from the float64 subset sum to the product-form integral (74
+        # cells, all N = 8 or 10, moved by at most 1.2e-12 relative); any
+        # later change must keep every p_closed bit for bit.
         families = ((4, (0.5, 2.0), (0.3, 0.7)), (8, (0.5, 2.0), (0.3, 0.7)), (10, (0.5,), (0.3,)))
         digest = hashlib.sha256()
         for scheme in ALL_SCHEMES:
@@ -248,7 +251,7 @@ class TestCsvEmission:
                     )
                     digest.update(render_csv(run_sweep(spec)).encode("utf-8"))
         assert digest.hexdigest() == (
-            "d66a439df9f6261daec661abb818eed7b8dc31121e73dcc7f0aa3559ba2e73b7"
+            "b2de0a17493b8c5f256e77a772cc5127cfd3f3e757e3524feb8d29cff1b38794"
         )
 
 
@@ -406,23 +409,41 @@ class TestCli:
         assert capsys.readouterr().err.count("rate_rs must be below 512") == 2
 
     # Near rate 512, B*rho overflows float64 in the kernel: with relay 1's hops
-    # at -3 dB in the selection sums only, at -4 dB in every scheme.
-    @pytest.mark.parametrize("low_db", [-3.0, -4.0])
-    def test_rate_511_outage_is_one(self, tmp_path, capsys, low_db):
-        cfg = {
-            "relays": [
-                {"sr_snr_db": low_db, "rd_snr_db": low_db, "eve_snr_db": low_db},
-                {"sr_snr_db": 0.0, "rd_snr_db": 0.0, "eve_snr_db": 0.0},
-            ],
-            "rate_rs": 511,
-        }
+    # at -3 dB in the selection sums only, at -4 dB in every scheme.  Seven
+    # relays take the integral, where s*t and t*c overflow as well.
+    @pytest.mark.parametrize(
+        "hop_eve_db",
+        [
+            pytest.param([(-3.0, -3.0), (0.0, 0.0)], id="-3.0"),
+            pytest.param([(-4.0, -4.0), (0.0, 0.0)], id="-4.0"),
+            pytest.param([(-10.0, 0.0)] * 7, id="seven-relays"),
+        ],
+    )
+    def test_rate_511_outage_is_one(self, tmp_path, capsys, hop_eve_db):
+        relays = [{"sr_snr_db": h, "rd_snr_db": h, "eve_snr_db": e} for h, e in hop_eve_db]
         path = tmp_path / "rate511.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["outage", "--config", str(path)]) == 0
+        path.write_text(json.dumps({"relays": relays, "rate_rs": 511}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["outage", "--config", str(path)]) == 0
         lines = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
-        assert set(lines) == {"OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS", "SINGLE:1", "SINGLE:2"}
+        singles = {f"SINGLE:{k}" for k in range(1, len(relays) + 1)}
+        assert set(lines) == {"OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS"} | singles
         for label, value in lines.items():
             assert abs(float(value) - 1.0) <= 1e-12, label
+
+    def test_outage_takes_any_relay_count(self, tmp_path, capsys):
+        relays = [
+            {"sr_snr_db": 10.0 + 0.1 * i, "rd_snr_db": 12.0, "eve_snr_db": 0.25 * i}
+            for i in range(24)
+        ]
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
+        # --max-n is accepted and ignored.
+        assert main(["outage", "--config", str(path), "--max-n", "3"]) == 0
+        lines = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
+        assert len(lines) == 6 + 24
+        assert all(0.0 < float(v) < 1.0 for v in lines.values())
 
     def test_non_finite_subset_term_exits_3(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
