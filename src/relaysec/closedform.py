@@ -90,6 +90,7 @@ _CANCEL_GUARD = 1e-5
 # 2-core VM a cell that does not cancel took 0.37 ms summed and 0.64-0.92 ms
 # integrated at N = 6, tied at N = 7 and lost at N = 8 (1.6-1.8 ms against
 # 0.87-1.26 ms); the sum's error also grows with N (1.3e-12 at N = 10).
+# Each sum ranges over the other N - 1 relays, within subsets' 10-weight cap.
 _SUM_MAX_RELAYS = 6
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import select_ps
-from .params import ConfigError, SelectionScheme, SystemConfig, _require_seed
+from .params import ConfigError, SelectionScheme, SystemConfig, _require_int, _require_seed
 
 __all__ = [
     "BLOCK_SIZE",
@@ -240,9 +240,7 @@ def _run_blocks(
     count summed in block order, and, if kept, the per-trial flags, which
     each block writes into its own slice."""
     scheme.validate_for(cfg)
-    trials = int(trials)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
+    trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
 

@@ -44,10 +44,24 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_int(name: str, value: int, minimum: int) -> int:
+    """`value` as an int no less than `minimum`.
+
+    Integral numbers such as 1e5 pass; 2.5, inf, nan or "3" raise ConfigError
+    rather than being truncated or parsed.  What int() itself refuses ("abc",
+    None) raises as int() does.
+    """
+    if isinstance(value, float) and not value.is_integer() or int(value) != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _require_seed(seed: int) -> int:
     """A seed as an int in the 64-bit range the Philox substream keys take."""
-    seed = int(seed)
-    if not 0 <= seed < (1 << 64):
+    seed = _require_int("seed", seed, 0)
+    if seed >= 1 << 64:
         raise ConfigError(f"seed must fit in 64 bits, got {seed!r}")
     return seed
 
@@ -202,9 +216,9 @@ class SelectionScheme:
         if self.kind not in _SCHEME_KINDS:
             raise ConfigError(f"unknown selection scheme {self.kind!r}")
         if self.kind == "SINGLE":
-            if self.relay is None or int(self.relay) < 1:
+            if self.relay is None:
                 raise ConfigError("SINGLE scheme needs a 1-based relay index")
-            object.__setattr__(self, "relay", int(self.relay))
+            object.__setattr__(self, "relay", _require_int("relay", self.relay, 1))
         elif self.relay is not None:
             raise ConfigError(f"{self.kind} takes no relay index")
 

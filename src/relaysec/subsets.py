@@ -14,39 +14,28 @@ the same term sequence and bit-for-bit reproducible sums.
 Each aggregate is summed in ascending index order, left to right, exactly as
 a loop over the mask's bits would, but the sums are shared rather than redone:
 the masks whose highest set bit is i are the lower masks plus w_i, so one
-list pass per index doubles a table of totals over the low indices (at most
-2^10 of them), one addition per term.  Masks with higher bits set reuse that
-table one block of 2^10 at a time, adding the block's high weights in
-ascending order, one more addition per term for each high index the mask
-holds.  An enumeration holds at most a few blocks in memory however many
-weights it ranges over.
+list pass per index doubles a table of totals, one addition per term.
+
+An enumeration takes at most 10 weights (1,023 terms).  The closed forms
+sum over subsets only up to 6 relays, so they never ask for more than 5;
+larger relay counts are integrated in product form instead, since 2^n terms
+cost too much and cancel too deeply in float64.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-__all__ = ["SignedSubsetTerm", "subset_terms", "signed_sum", "DEFAULT_MAX_WEIGHTS"]
+__all__ = ["SignedSubsetTerm", "subset_terms", "signed_sum"]
 
-# Beyond ~20 indices the 2^n term count explodes and alternating-sign
-# cancellation destroys accuracy; callers must opt in explicitly.
-DEFAULT_MAX_WEIGHTS = 20
-
-# Low indices whose aggregates are tabulated; higher ones extend the table
-# block by block.
-_TABLE_BITS = 10
-# Cardinality and sign of each mask below 2^_TABLE_BITS in counter order; a
-# table over fewer low indices is a prefix of these.
-_CARDS = [mask.bit_count() for mask in range(1 << _TABLE_BITS)]
+# Most effective weights one enumeration takes (see the module docstring).
+_MAX_WEIGHTS = 10
+# Cardinality and sign of each mask in counter order; an enumeration over
+# fewer weights reads a prefix of these.
+_CARDS = [mask.bit_count() for mask in range(1 << _MAX_WEIGHTS)]
 _SIGNS = [-1 if c & 1 else 1 for c in _CARDS]
-_FLIPPED = [-s for s in _SIGNS]
-
-
-class SubsetSizeError(ValueError):
-    """Weight vector larger than the configured enumeration cap."""
 
 
 class EvaluationError(ArithmeticError):
@@ -64,7 +53,6 @@ class SignedSubsetTerm(NamedTuple):
 def subset_terms(
     weights: Iterable[float],
     exclude: int | None = None,
-    max_weights: int = DEFAULT_MAX_WEIGHTS,
 ) -> Iterator[SignedSubsetTerm]:
     """Yield one term per non-empty subset of the (possibly reduced) index set.
 
@@ -72,6 +60,7 @@ def subset_terms(
     the stream ranges over subsets of the remaining indices.  Exactly
     2^n - 1 terms are produced for n effective indices; excluding the only
     index yields an empty stream (the max over nothing is degenerate at 0).
+    More than 10 effective indices raise ValueError.
     """
     w = [float(x) for x in weights]
     n_all = len(w)
@@ -85,34 +74,19 @@ def subset_terms(
             raise ValueError(f"exclude index {exclude} out of range 1..{n_all}")
         w = w[: exclude - 1] + w[exclude:]
     n = len(w)
-    if n > max_weights:
-        raise SubsetSizeError(
-            f"{n} effective weights exceed the cap of {max_weights} "
-            f"(2^{n} - 1 subset terms); raise max_weights to override"
+    if n > _MAX_WEIGHTS:
+        raise ValueError(
+            f"{n} effective weights exceed the cap of {_MAX_WEIGHTS} "
+            f"(2^{n} - 1 subset terms)"
         )
-    low = min(n, _TABLE_BITS)
-    # totals[mask] for mask < 2^low, by doubling (see the module docstring).
+    # totals[mask] by doubling (see the module docstring).
     totals = [0.0]
-    for x in w[:low]:
+    for x in w:
         totals += [t + x for t in totals]
-    high = w[low:]
-    for hi in range(1 << len(high)):
-        # Masks hi * 2^low + lo, lo ascending: hi's weights follow the low
-        # ones, so they are added to each low total in ascending order.
-        block = totals
-        for j, x in enumerate(high):
-            if hi >> j & 1:
-                block = [t + x for t in block]
-        extra = hi.bit_count()
-        rows = zip(
-            _FLIPPED if extra & 1 else _SIGNS,
-            block,
-            map(add, _CARDS, repeat(extra)) if extra else _CARDS,
-        )
-        if not hi:
-            next(rows)  # the empty subset
-        # tuple.__new__ skips the keyword-handling constructor.
-        yield from map(tuple.__new__, repeat(SignedSubsetTerm), rows)
+    rows = zip(_SIGNS, totals, _CARDS)
+    next(rows)  # the empty subset
+    # tuple.__new__ skips the keyword-handling constructor.
+    yield from map(tuple.__new__, repeat(SignedSubsetTerm), rows)
 
 
 def signed_sum(

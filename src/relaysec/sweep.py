@@ -35,6 +35,7 @@ from .params import (
     RelayLinkParams,
     SelectionScheme,
     SystemConfig,
+    _require_int,
     _require_seed,
     db_to_linear,
     parse_scheme,
@@ -114,9 +115,7 @@ class SweepSpec:
         for r in self.rates:
             if r <= 0.0:
                 raise ConfigError(f"rates must be positive, got {r!r}")
-        if int(self.n_relays) < 1:
-            raise ConfigError(f"n_relays must be >= 1, got {self.n_relays!r}")
-        object.__setattr__(self, "n_relays", int(self.n_relays))
+        object.__setattr__(self, "n_relays", _require_int("n_relays", self.n_relays, 1))
         schemes = tuple(self.schemes)
         if not schemes:
             raise ConfigError("schemes must be non-empty")
@@ -152,9 +151,7 @@ class SweepSpec:
             bad = [] if math.isfinite(self.eaves_snr_db) else [self.eaves_snr_db]
         if bad:
             raise ConfigError(f"eaves_snr_db entries must be finite, got {bad[0]!r}")
-        if int(self.mc_trials) < 0:
-            raise ConfigError(f"mc_trials must be >= 0, got {self.mc_trials!r}")
-        object.__setattr__(self, "mc_trials", int(self.mc_trials))
+        object.__setattr__(self, "mc_trials", _require_int("mc_trials", self.mc_trials, 0))
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.fixed_hop is not None and not isinstance(self.fixed_hop, FixedHop):
             raise ConfigError("fixed_hop must be a FixedHop or None")
@@ -197,17 +194,10 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep spec fields: {sorted(unknown)}")
         try:
             kwargs = dict(data)
-            if "snr_grid_db" not in kwargs or "rates" not in kwargs or "schemes" not in kwargs:
-                raise ConfigError("sweep spec needs snr_grid_db, rates and schemes")
-            kwargs["snr_grid_db"] = tuple(kwargs["snr_grid_db"])
-            kwargs["rates"] = tuple(kwargs["rates"])
-            kwargs["schemes"] = tuple(
-                parse_scheme(s) if isinstance(s, str) else s for s in kwargs["schemes"]
-            )
-            if isinstance(kwargs.get("power_split_sr"), list):
-                kwargs["power_split_sr"] = tuple(kwargs["power_split_sr"])
-            if isinstance(kwargs.get("eaves_snr_db"), list):
-                kwargs["eaves_snr_db"] = tuple(kwargs["eaves_snr_db"])
+            if "schemes" in kwargs:
+                kwargs["schemes"] = tuple(
+                    parse_scheme(s) if isinstance(s, str) else s for s in kwargs["schemes"]
+                )
             fh = kwargs.get("fixed_hop")
             if isinstance(fh, dict):
                 kwargs["fixed_hop"] = FixedHop(which=fh["which"], snr_db=float(fh["snr_db"]))

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import relaysec
 from relaysec import (
     ConfigError,
     DecibelValue,
@@ -146,3 +149,13 @@ class TestSelectionScheme:
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
             parse_scheme("BEST")
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["relaysec"] + [f"relaysec.{m.name}" for m in pkgutil.iter_modules(relaysec.__path__)],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

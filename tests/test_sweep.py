@@ -12,12 +12,14 @@ from relaysec import (
     ALL_SCHEMES,
     RelayLinkParams,
     SweepSpec,
+    SystemConfig,
     asymp_single_balanced,
     db_to_linear,
     emit_csv,
     figure_preset,
     run_manifest,
     run_sweep,
+    simulate_outage,
     single,
     single_relay_outage,
 )
@@ -40,7 +42,29 @@ def single_relay_spec(**overrides):
     return SweepSpec(**base)
 
 
+# Each integer-valued input, built from a value: a spec's counts and seed, a
+# pinned relay index, and a simulation's trial count.
+INTEGER_FIELDS = {
+    "n_relays": lambda v: single_relay_spec(n_relays=v).n_relays,
+    "mc_trials": lambda v: single_relay_spec(mc_trials=v).mc_trials,
+    "seed": lambda v: single_relay_spec(seed=v).seed,
+    "relay": lambda v: single(v).relay,
+    "trials": lambda v: simulate_outage(
+        SystemConfig((RelayLinkParams(1.0, 1.0, 1.0),), 0.5), single(1), v, 0
+    ).trials,
+}
+
+
 class TestSweepSpecValidation:
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_counts_must_be_integral(self, field):
+        build = INTEGER_FIELDS[field]
+        for value in (2.5, math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                build(value)
+        got = build(2.0)
+        assert got == 2 and type(got) is int
+
     def test_rejects_unordered_grid(self):
         with pytest.raises(ConfigError):
             single_relay_spec(snr_grid_db=(10.0, 10.0))
@@ -460,6 +484,27 @@ class TestCli:
         spec_path.write_text(json.dumps(spec))
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "malformed sweep spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n_relays", "mc_trials", "seed"])
+    def test_non_integral_spec_count_exits_2(self, tmp_path, capsys, field):
+        spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], field: 2.5}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{field} must be an integer, got 2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["snr_grid_db", "rates", "schemes"])
+    def test_spec_missing_a_required_field_exits_2(self, tmp_path, capsys, field):
+        spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"]}
+        del spec[field]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed sweep spec" in err
+        # The message names the missing field and no other.
+        assert f"'{field}'" in err
+        assert not any(other in err for other in spec)
 
     def test_manifest_version_falls_back_to_the_package_version(self, tmp_path, monkeypatch):
         def missing(name):
