@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from importlib import metadata
 from pathlib import Path
 
 from . import __version__
@@ -43,13 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-def _tool_version() -> str:
-    try:
-        return metadata.version("relaysec")
-    except metadata.PackageNotFoundError:  # run from a source checkout
-        return __version__
 
 
 def _load_json(path: str) -> dict:
@@ -134,7 +126,7 @@ def _run_family(family: tuple[tuple[str, SweepSpec], ...], out: str) -> int:
         path = _variant_path(base, label)
         _write_text(path, render_csv(rows))
         written.append(str(path))
-        manifest = run_manifest(spec, _tool_version(), rows)
+        manifest = run_manifest(spec, __version__, rows)
         manifest["label"] = label
         manifest["csv"] = path.name
         manifests.append(manifest)

@@ -39,7 +39,10 @@ t = rho-1 and then decays to a floor.  No factor cancels, so a Gauss-Legendre
 rule on geometric panels evaluates it to about 1e-15 relative in time linear
 in N.  T_k is the float64 subset sum for at most _SUM_MAX_RELAYS relays unless
 the sum cancels past _CANCEL_GUARD, and the integral otherwise; any N >= 1 is
-evaluated.
+evaluated.  A cell integrates all of its relays that need it in one batched
+pass over their concatenated nodes, bit for bit the relay-at-a-time values:
+on a 2-core VM a TS cell that integrates every relay took 0.25-0.33 ms at
+N = 8, 0.40-0.44 ms at N = 10 and 0.69-0.83 ms at N = 16.
 """
 
 from __future__ import annotations
@@ -87,12 +90,15 @@ CLAMP_TOL = 1e-9
 # left at the guard) gives way to the product-form integral (about 1e-15).
 _CANCEL_GUARD = 1e-5
 # Largest relay count whose T_k are tried as float64 subset sums first.  On a
-# 2-core VM a cell that does not cancel took 0.37 ms summed and 0.64-0.92 ms
-# integrated at N = 6, tied at N = 7 and lost at N = 8 (1.6-1.8 ms against
-# 0.87-1.26 ms); the sum's error also grows with N (1.3e-12 at N = 10).
-# Each sum ranges over the other N - 1 relays, within subsets' 10-weight cap.
+# 2-core VM a TS or SS-RE cell that does not cancel took 0.12-0.15 ms summed
+# and 0.18-0.25 ms integrated at N = 5, tied at N = 6 (0.19-0.31 ms against
+# 0.17-0.24 ms) and lost from N = 7 (0.50-0.75 ms against 0.27-0.32 ms); the
+# sum's error also grows with N (1.3e-12 at N = 10).  Each sum ranges over
+# the other N - 1 relays, within subsets' 10-weight cap.
 _SUM_MAX_RELAYS = 6
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+# Largest node-by-competitor block of the integrals, 2 MiB of float64.
+_BLOCK_DOUBLES = 1 << 18
 
 
 class CancellationError(ArithmeticError):
@@ -178,6 +184,7 @@ def _selection_sum(
     rho = cfg.rho
     n = cfg.n_relays
     contributions: list[float] = []
+    jobs: list[tuple[float, float, float, list[float]]] = []
     for k in range(n):
         b_k = cfg.relays[k].main_rate
         a_k = cfg.relays[k].eve_rate
@@ -199,39 +206,75 @@ def _selection_sum(
             if n == 1 or abs(total) >= _CANCEL_GUARD * peak:
                 contributions.append(total)
                 continue
-        contributions.append(_product_integral(b_k, a_k, s_k, scale * np.delete(weights, k), rho))
+        jobs.append((b_k, a_k, s_k, [scale * w for i, w in enumerate(weights) if i != k]))
+    if jobs:
+        contributions += _product_integrals(jobs, rho)
     return _as_probability(math.fsum(contributions), scheme)
 
 
-def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on each interval between `edges`."""
-    half = np.diff(edges)[:, None] / 2.0
-    return (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
+def _product_integrals(jobs: list[tuple[float, float, float, list[float]]], rho: float) -> list[float]:
+    """T_k from the module docstring for each job (b_k, a_k, s_k, c), with c
+    relay k's competitors' metric rates, all in one pass.  Head panels halve
+    from rho-1 towards 0 until the fastest rate resolves them; tail panels
+    double away from rho-1 out to 90/s_k.  Needs s_k <= b_k (every scheme).
 
-
-def _product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray, rho: float) -> float:
-    """T_k from the module docstring, with c the competitors' metric rates.  Head
-    panels halve from rho-1 towards 0 until the fastest rate resolves them; tail
-    panels double away from rho-1 out to 90/s_k.  Needs s_k <= b_k (every scheme)."""
+    Panels lie job by job, head before tail, and each per-node factor is the
+    job's scalar repeated, so every elementwise step sees the operands of
+    integrating that job alone, and its np.sum takes the same pairwise order
+    over its own contiguous run of nodes: the results are bit for bit equal."""
     d = rho - 1.0
-    g = b_k - s_k
-    q = a_k / rho
-    delta = g + q
-    k_far = math.exp(-g * d) * q / delta
-    floor = (g - q * math.expm1(-g * d)) / delta
-    fast = max(float(c.max()), s_k)
-    n_head = max(0, math.frexp(d)[1] + math.frexp(fast)[1])
-    step = 1.0 / max(fast, delta)
-    n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
-    head_t, head_w = _panels(np.concatenate(([0.0], np.ldexp(d, -np.arange(n_head, -1, -1)))))
-    tail_x, tail_w = _panels(np.concatenate(([0.0], np.ldexp(step, np.arange(n_tail + 1)))))
-    t = np.concatenate((head_t, d + tail_x))
-    w = np.concatenate((head_w, tail_w * (floor + k_far * np.exp(-delta * tail_x))))
-    # Near rate_rs 512, s_k*t and t*c overflow to inf; the factors e^{-inf} = 0
-    # and 1 - e^{-inf} = 1 are the intended limits.
+    d_exp = math.frexp(d)[1]
+    # One row per run of panels (a job's head, then its tail): the edge
+    # mantissa, the exponent of the first upper edge less the run's first
+    # panel index, the node offset, the tail weight's floor, k_far and delta
+    # (1, 0, 0 on the head, which leaves the weight as it is) and s_k.
+    rows: list[tuple[float, ...]] = []
+    counts: list[int] = []
+    bounds = [0]
+    for b_k, a_k, s_k, c in jobs:
+        g = b_k - s_k
+        q = a_k / rho
+        delta = g + q
+        k_far = math.exp(-g * d) * q / delta
+        floor = (g - q * math.expm1(-g * d)) / delta
+        fast = max([s_k, *c])
+        n_head = max(0, d_exp + math.frexp(fast)[1])
+        step = 1.0 / max(fast, delta)
+        n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
+        p = bounds[-1]
+        rows.append((d, -n_head - p, 0.0, 1.0, 0.0, 0.0, s_k))
+        rows.append((step, -n_head - 1 - p, d, floor, k_far, delta, s_k))
+        counts += (n_head + 1, n_tail + 1)
+        bounds.append(p + n_head + n_tail + 2)
+    mantissa, shift, offset, floor, k_far, delta, s = np.repeat(np.array(rows).T, counts, axis=1)
+    # Upper edges double along each run; a panel's lower edge is the upper
+    # edge before it, and 0 on the first panel of a run.
+    upper = np.ldexp(mantissa, np.arange(len(mantissa)) + shift.astype(np.intp))
+    lower = np.concatenate(([0.0], upper[:-1]))
+    lower[np.cumsum(counts) - counts] = 0.0
+    half = (upper - lower)[:, None] / 2.0
+    x = lower[:, None] + half * (1.0 + _GL_NODES)
+    w = (half * _GL_WEIGHTS) * (floor[:, None] + k_far[:, None] * np.exp(-delta[:, None] * x))
+    t = x + offset[:, None]
+    competitors = np.array([job[3] for job in jobs])
+    job_of_panel = np.repeat(np.arange(len(jobs)), np.diff(bounds))
+    # The node-by-competitor block grows as N^2, so it is built a few panels
+    # at a time, in place, up to _BLOCK_DOUBLES entries.  Near rate_rs 512,
+    # s_k*t and t*c overflow to inf; the factors e^{-inf} = 0 and
+    # 1 - e^{-inf} = 1 are the intended limits.
+    below = np.empty_like(t)
+    panels = max(1, _BLOCK_DOUBLES // (t.shape[1] * max(1, competitors.shape[1])))
     with np.errstate(over="ignore"):
-        f = s_k * np.exp(-s_k * t) * (-np.expm1(-np.multiply.outer(t, c))).prod(axis=1)
-    return float(np.sum(w * f))
+        for i in range(0, len(t), panels):
+            block = np.multiply(t[i:i + panels, :, None], competitors[job_of_panel[i:i + panels], None, :])
+            np.negative(block, out=block)
+            np.expm1(block, out=block)
+            np.negative(block, out=block)
+            below[i:i + panels] = block.prod(axis=2)
+        f = s[:, None] * np.exp(-s[:, None] * t) * below
+    v = (w * f).ravel()
+    n_nodes = len(_GL_NODES)
+    return [float(np.sum(v[a * n_nodes:b * n_nodes])) for a, b in zip(bounds, bounds[1:])]
 
 
 def outage_ts(cfg: SystemConfig) -> OutageProbability:

@@ -13,7 +13,6 @@ level, pinned-hop level) expand to one labelled sweep per family member.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
@@ -225,6 +224,8 @@ class SweepRow:
 
 def _cell_seed(seed: int, scheme_label: str, rate_index: int, grid_index: int) -> int:
     """Stable per-cell substream seed so cells are individually reproducible."""
+    import hashlib  # loads OpenSSL, which only simulated sweeps need
+
     text = f"{seed}:{scheme_label}:{rate_index}:{grid_index}".encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 

@@ -1,11 +1,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
+    _selection_rates,
     mp_selection_outage,
     quad_selection_outage,
     quad_single_outage,
@@ -398,5 +400,139 @@ class TestCancellationRegime:
                         scheme.label, snr_db, rate)
 
     def test_package_imports_without_mpmath(self):
-        code = "import sys, relaysec, relaysec.cli; sys.exit('mpmath' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+        # mpmath is a test oracle only.  hashlib (OpenSSL, about 3.6 MB) seeds
+        # simulated cells and importlib.metadata would only read a version, so
+        # neither belongs in an import or a closed-form-only sweep.
+        code = "\n".join([
+            "import sys, relaysec, relaysec.cli",
+            "loaded = [m for m in ('mpmath', 'hashlib', 'importlib.metadata') if m in sys.modules]",
+            "assert not loaded, loaded",
+            "spec = relaysec.SweepSpec((0.0, 40.0), (0.5,), relaysec.ALL_SCHEMES, n_relays=8)",
+            "assert len(relaysec.run_sweep(spec)) == 12",
+            "assert 'hashlib' not in sys.modules",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def reference_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each interval between `edges`."""
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def reference_product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray, rho: float) -> float:
+    """The one-relay-at-a-time form of the product integral, which the batched
+    closedform._product_integrals must reproduce bit for bit."""
+    d = rho - 1.0
+    g = b_k - s_k
+    q = a_k / rho
+    delta = g + q
+    k_far = math.exp(-g * d) * q / delta
+    floor = (g - q * math.expm1(-g * d)) / delta
+    fast = max(float(c.max()), s_k)
+    n_head = max(0, math.frexp(d)[1] + math.frexp(fast)[1])
+    step = 1.0 / max(fast, delta)
+    n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
+    head_t, head_w = reference_panels(np.concatenate(([0.0], np.ldexp(d, -np.arange(n_head, -1, -1)))))
+    tail_x, tail_w = reference_panels(np.concatenate(([0.0], np.ldexp(step, np.arange(n_tail + 1)))))
+    t = np.concatenate((head_t, d + tail_x))
+    w = np.concatenate((head_w, tail_w * (floor + k_far * np.exp(-delta * tail_x))))
+    # Near rate_rs 512, s_k*t and t*c overflow to inf; the factors e^{-inf} = 0
+    # and 1 - e^{-inf} = 1 are the intended limits.
+    with np.errstate(over="ignore"):
+        f = s_k * np.exp(-s_k * t) * (-np.expm1(-np.multiply.outer(t, c))).prod(axis=1)
+    return float(np.sum(w * f))
+
+
+def relay_jobs(cfg, kind):
+    """Every relay's (b_k, a_k, s_k, competitor rates) under one scheme, as
+    the conftest oracles compute the rates."""
+    return [(relay.main_rate, relay.eve_rate, *_selection_rates(cfg, kind, k))
+            for k, relay in enumerate(cfg.relays)]
+
+
+class TestBatchedIntegralReference:
+    """closedform._product_integrals against reference_product_integral, with ==."""
+
+    @staticmethod
+    def assert_matches_relay_by_relay(jobs, rho):
+        got = closedform._product_integrals(jobs, rho)
+        assert len(got) == len(jobs)
+        for (b_k, a_k, s_k, c), value in zip(jobs, got):
+            assert value == reference_product_integral(b_k, a_k, s_k, np.asarray(c), rho)
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_random_configs(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(2):
+            cfg = random_config(rng, n, snr_lo=-5.0, snr_hi=80.0)
+            for kind in ("TS", "SS-RE", "SS-RD", "SS-SR"):
+                self.assert_matches_relay_by_relay(relay_jobs(cfg, kind), cfg.rho)
+
+    def test_one_relay_is_the_single_branch_kernel(self):
+        # No competitor: the reference has no rate to take a maximum over.
+        # A lone relay is selected whatever its metric.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            cfg = random_config(rng, 1, snr_lo=-5.0, snr_hi=80.0)
+            relay = cfg.relays[0]
+            expected = closedform._kernel(relay.main_rate, relay.eve_rate, cfg.rho)
+            for s_k in (relay.main_rate, relay.rd_rate, relay.sr_rate):
+                (value,) = closedform._product_integrals(
+                    [(relay.main_rate, relay.eve_rate, s_k, [])], cfg.rho)
+                assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_rho_one_and_rate_511(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 12):
+            # Hops at -10 to -4 dB put every main rate above 4.
+            base = random_config(rng, n, snr_lo=-10.0, snr_hi=-4.0)
+            # rho == 1 exactly leaves a head of zero-width panels; at rate
+            # 511, rho - 1 is near 4.5e307, so s_k*t overflows to inf.
+            for rate in (1e-17, 511.0):
+                cfg = SystemConfig(base.relays, rate)
+                jobs = relay_jobs(cfg, "SS-RE")
+                if rate < 1.0:
+                    assert cfg.rho == 1.0
+                else:
+                    assert max(s_k for _, _, s_k, _ in jobs) * (cfg.rho - 1.0) * 4.0 == math.inf
+                self.assert_matches_relay_by_relay(jobs, cfg.rho)
+
+    def test_block_memory_stays_bounded_at_many_relays(self):
+        # One 96-relay cell needs 96 * 95 competitor factors per node; built
+        # whole they would take about 40 MiB.
+        cfg = spread_config(96, 40.0)
+        tracemalloc.start()
+        try:
+            outage_ts(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_every_batch_the_evaluators_integrate(self, monkeypatch):
+        batches = []
+        batched = closedform._product_integrals
+
+        def record(jobs, rho):
+            batches.append((jobs, rho))
+            return batched(jobs, rho)
+
+        monkeypatch.setattr(closedform, "_product_integrals", record)
+        # N <= 6 cells at high SNR, where only the relays whose subset sum
+        # cancels are integrated, then N >= 7 cells, where all are.
+        configs = [spread_config(n, snr_db, rate)
+                   for n in (2, 3, 4, 5, 6, 8) for snr_db in (20.0, 40.0, 60.0, 80.0)
+                   for rate in (0.5, 2.0)]
+        for cfg in configs:
+            for scheme in (TS, SS_RE, SS_RD, SS_SR):
+                outage_for_scheme(cfg, scheme)
+        monkeypatch.undo()
+        sizes = [len(jobs) for jobs, _ in batches]
+        assert 1 in sizes and 8 in sizes and any(1 < size < 6 for size in sizes)
+        for jobs, rho in batches:
+            self.assert_matches_relay_by_relay(jobs, rho)

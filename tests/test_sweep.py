@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import warnings
-from importlib import metadata
+from pathlib import Path
 
 import pytest
 
@@ -506,15 +506,18 @@ class TestCli:
         assert f"'{field}'" in err
         assert not any(other in err for other in spec)
 
-    def test_manifest_version_falls_back_to_the_package_version(self, tmp_path, monkeypatch):
-        def missing(name):
-            raise metadata.PackageNotFoundError(name)
-
-        monkeypatch.setattr(metadata, "version", missing)
+    def test_manifest_version_is_the_package_version(self, tmp_path):
         out = tmp_path / "f5.csv"
         assert main(["figure", "fig5", "--out", str(out), "--trials", "0"]) == 0
         manifest = json.loads((tmp_path / "f5.manifest.json").read_text())
         assert manifest["tool_version"] == relaysec.__version__ == "0.1.0"
+        # The package attribute is the only version source: the build reads it.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "relaysec.__version__"}
 
     def test_unwritable_destination_exits_4(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
