@@ -35,14 +35,14 @@ also the positive integral that the sum expands,
     T_k = int_0^inf s_k e^{-s_k t} prod_{i != k} (1 - e^{-c_i t}) h_k(t) dt,
 
 over relay k's metric t, where h_k, relay k's outage given t, is 1 up to
-t = rho-1 and then decays to a floor.  No factor cancels, so a Gauss-Legendre
-rule on geometric panels evaluates it to about 1e-15 relative in time linear
-in N.  T_k is the float64 subset sum for at most _SUM_MAX_RELAYS relays unless
-the sum cancels past _CANCEL_GUARD, and the integral otherwise; any N >= 1 is
-evaluated.  A cell integrates all of its relays that need it in one batched
-pass over their concatenated nodes, bit for bit the relay-at-a-time values:
-on a 2-core VM a TS cell that integrates every relay took 0.25-0.33 ms at
-N = 8, 0.40-0.44 ms at N = 10 and 0.69-0.83 ms at N = 16.
+t = rho-1 and then decays to a floor.  On the axis the selection compares,
+m = scale_k * t, every relay faces the same competitors, so one Gauss-Legendre
+grid split at each relay's kink scale_k*(rho-1) serves the whole cell; no
+factor cancels or is divided out, so each T_k comes out to about 1e-15
+relative at a cost linear in N.  T_k is the float64 subset sum for at most
+_SUM_MAX_RELAYS relays, unless one relay's sum cancels past _CANCEL_GUARD,
+and every relay's integral otherwise; any N >= 1 is evaluated.  On a 2-core
+VM an integrated TS cell took 0.12-0.30 ms at N = 4-16, 0.24-1.1 ms at 32.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .params import (
     OS,
@@ -89,16 +88,27 @@ CLAMP_TOL = 1e-9
 # Cancellation level below which a relay's float64 subset sum (about 11 digits
 # left at the guard) gives way to the product-form integral (about 1e-15).
 _CANCEL_GUARD = 1e-5
-# Largest relay count whose T_k are tried as float64 subset sums first.  On a
-# 2-core VM a TS or SS-RE cell that does not cancel took 0.12-0.15 ms summed
-# and 0.18-0.25 ms integrated at N = 5, tied at N = 6 (0.19-0.31 ms against
-# 0.17-0.24 ms) and lost from N = 7 (0.50-0.75 ms against 0.27-0.32 ms); the
-# sum's error also grows with N (1.3e-12 at N = 10).  Each sum ranges over
-# the other N - 1 relays, within subsets' 10-weight cap.
-_SUM_MAX_RELAYS = 6
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-# Largest node-by-competitor block of the integrals, 2 MiB of float64.
-_BLOCK_DOUBLES = 1 << 18
+# Largest relay count whose T_k are tried as float64 subset sums first: from
+# N = 6 a cell that does not cancel integrates faster than it sums (timings in
+# README's numerical notes), and the sum's error grows with N (5.3e-13 at
+# N = 6).  Each sum ranges over the other N - 1 relays, within subsets' cap.
+_SUM_MAX_RELAYS = 5
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] by Newton's method on the
+    Legendre recurrence, 1.4 MB leaner than numpy's leggauss (and LAPACK)."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        below, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            below, p = p, ((2 * k - 1) * x * p - (k - 1) * below) / k
+        slope = n * (x * p - below) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 class CancellationError(ArithmeticError):
@@ -177,24 +187,19 @@ def _selection_sum(
     """Assemble sum_k T_k for a metric-based selection scheme.
 
     select_rates[k]  rate of relay k's own selection metric
-    weights[i]       competitor i's metric rate on the comparison axis
-    couple_scales[k] maps a subset aggregate of `weights` back onto relay k's
-                     main-channel rate axis (1 except for SS-RE)
+    weights[i]       relay i's metric rate on the comparison axis
+    couple_scales[k] maps the comparison axis onto relay k's main-channel
+                     rate axis (1 except for SS-RE)
     """
     rho = cfg.rho
-    n = cfg.n_relays
-    contributions: list[float] = []
-    jobs: list[tuple[float, float, float, list[float]]] = []
-    for k in range(n):
-        b_k = cfg.relays[k].main_rate
-        a_k = cfg.relays[k].eve_rate
-        s_k = select_rates[k]
-        scale = couple_scales[k]
-        if n <= _SUM_MAX_RELAYS:
-            lead = _kernel(b_k, a_k, rho)
+    if cfg.n_relays <= _SUM_MAX_RELAYS:
+        contributions: list[float] = []
+        for k, relay in enumerate(cfg.relays):
+            lead = _kernel(relay.main_rate, relay.eve_rate, rho)
             peak = abs(lead)
 
-            def term_value(term, _bk=b_k, _ak=a_k, _sk=s_k, _sc=scale):
+            def term_value(term, _bk=relay.main_rate, _ak=relay.eve_rate,
+                           _sk=select_rates[k], _sc=couple_scales[k]):
                 nonlocal peak
                 c = _sc * term.beta_prime
                 v = (_sk / (_sk + c)) * _kernel(_bk + c, _ak, rho)
@@ -203,78 +208,72 @@ def _selection_sum(
                 return v
 
             total = lead + signed_sum(subset_terms(weights, exclude=k + 1), term_value)
-            if n == 1 or abs(total) >= _CANCEL_GUARD * peak:
-                contributions.append(total)
-                continue
-        jobs.append((b_k, a_k, s_k, [scale * w for i, w in enumerate(weights) if i != k]))
-    if jobs:
-        contributions += _product_integrals(jobs, rho)
-    return _as_probability(math.fsum(contributions), scheme)
+            if abs(total) < _CANCEL_GUARD * peak:
+                break
+            contributions.append(total)
+        else:
+            return _as_probability(math.fsum(contributions), scheme)
+    return _as_probability(math.fsum(_cell_integrals(cfg, select_rates, weights, couple_scales)), scheme)
 
 
-def _product_integrals(jobs: list[tuple[float, float, float, list[float]]], rho: float) -> list[float]:
-    """T_k from the module docstring for each job (b_k, a_k, s_k, c), with c
-    relay k's competitors' metric rates, all in one pass.  Head panels halve
-    from rho-1 towards 0 until the fastest rate resolves them; tail panels
-    double away from rho-1 out to 90/s_k.  Needs s_k <= b_k (every scheme).
+def _cell_integrals(
+    cfg: SystemConfig, select_rates: list[float], weights: list[float], couple_scales: list[float]
+) -> np.ndarray:
+    """Every relay's T_k from the module docstring on one grid over the
+    comparison axis m = scale_k*t:
 
-    Panels lie job by job, head before tail, and each per-node factor is the
-    job's scalar repeated, so every elementwise step sees the operands of
-    integrating that job alone, and its np.sum takes the same pairwise order
-    over its own contiguous run of nodes: the results are bit for bit equal."""
-    d = rho - 1.0
-    d_exp = math.frexp(d)[1]
-    # One row per run of panels (a job's head, then its tail): the edge
-    # mantissa, the exponent of the first upper edge less the run's first
-    # panel index, the node offset, the tail weight's floor, k_far and delta
-    # (1, 0, 0 on the head, which leaves the weight as it is) and s_k.
-    rows: list[tuple[float, ...]] = []
-    counts: list[int] = []
-    bounds = [0]
-    for b_k, a_k, s_k, c in jobs:
-        g = b_k - s_k
-        q = a_k / rho
-        delta = g + q
-        k_far = math.exp(-g * d) * q / delta
-        floor = (g - q * math.expm1(-g * d)) / delta
-        fast = max([s_k, *c])
-        n_head = max(0, d_exp + math.frexp(fast)[1])
-        step = 1.0 / max(fast, delta)
-        n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
-        p = bounds[-1]
-        rows.append((d, -n_head - p, 0.0, 1.0, 0.0, 0.0, s_k))
-        rows.append((step, -n_head - 1 - p, d, floor, k_far, delta, s_k))
-        counts += (n_head + 1, n_tail + 1)
-        bounds.append(p + n_head + n_tail + 2)
-    mantissa, shift, offset, floor, k_far, delta, s = np.repeat(np.array(rows).T, counts, axis=1)
-    # Upper edges double along each run; a panel's lower edge is the upper
-    # edge before it, and 0 on the first panel of a run.
-    upper = np.ldexp(mantissa, np.arange(len(mantissa)) + shift.astype(np.intp))
-    lower = np.concatenate(([0.0], upper[:-1]))
-    lower[np.cumsum(counts) - counts] = 0.0
-    half = (upper - lower)[:, None] / 2.0
-    x = lower[:, None] + half * (1.0 + _GL_NODES)
-    w = (half * _GL_WEIGHTS) * (floor[:, None] + k_far[:, None] * np.exp(-delta[:, None] * x))
-    t = x + offset[:, None]
-    competitors = np.array([job[3] for job in jobs])
-    job_of_panel = np.repeat(np.arange(len(jobs)), np.diff(bounds))
-    # The node-by-competitor block grows as N^2, so it is built a few panels
-    # at a time, in place, up to _BLOCK_DOUBLES entries.  Near rate_rs 512,
-    # s_k*t and t*c overflow to inf; the factors e^{-inf} = 0 and
-    # 1 - e^{-inf} = 1 are the intended limits.
-    below = np.empty_like(t)
-    panels = max(1, _BLOCK_DOUBLES // (t.shape[1] * max(1, competitors.shape[1])))
+        T_k = int_0^inf w_k e^{-w_k m} prod_{i != k} (1 - e^{-w_i m}) h_k((m - kink_k) / scale_k) dm
+
+    with kink_k = scale_k*(rho-1) and h_k(x) = 1 for x <= 0.  Panels double
+    outward from 0 and from each kink to the next, or to 90/min(w) past the
+    last, and none reaches past 746/min(w), where every e^{-w_i m} is 0; the
+    first is 1/max(w) wide, or less where an h_k decays faster.  Needs
+    s_k <= b_k (every scheme)."""
+    fast, slow = max(weights), min(weights)
+    if fast == math.inf:  # a metric rate past float64: no panel is that narrow
+        raise CancellationError(f"selection-metric rate {fast!r} overflowed float64")
+    cut = 746.0 / slow
+    d = cfg.rho - 1.0
+    w = np.array(weights)[:, None]
+    scale = np.array(couple_scales)
+    g = np.array([r.main_rate for r in cfg.relays]) - select_rates
+    q = np.array([r.eve_rate for r in cfg.relays]) / cfg.rho
+    # Near rate_rs 512, g*d, kink_k and w_i*m overflow to inf; the factors
+    # e^{-inf} = 0 and 1 - e^{-inf} = 1 are the intended limits.
     with np.errstate(over="ignore"):
-        for i in range(0, len(t), panels):
-            block = np.multiply(t[i:i + panels, :, None], competitors[job_of_panel[i:i + panels], None, :])
-            np.negative(block, out=block)
-            np.expm1(block, out=block)
-            np.negative(block, out=block)
-            below[i:i + panels] = block.prod(axis=2)
-        f = s[:, None] * np.exp(-s[:, None] * t) * below
-    v = (w * f).ravel()
-    n_nodes = len(_GL_NODES)
-    return [float(np.sum(v[a * n_nodes:b * n_nodes])) for a, b in zip(bounds, bounds[1:])]
+        delta = g + q
+        k_far = np.exp(-g * d) * q / delta
+        floor = (g - q * np.expm1(-g * d)) / delta
+        kinks = scale * d
+        decay = delta / scale
+        widths = {0.0: 1.0 / fast}
+        for kink, rate in zip(kinks.tolist(), decay.tolist()):
+            if kink < cut:
+                widths[kink] = min(widths.get(kink, 1.0 / fast), 1.0 / rate)
+        starts = sorted(widths)
+        ends = starts[1:] + [min(starts[-1] + 90.0 / slow, cut)]
+        panels = []
+        for start, end in zip(starts, ends):
+            lo, hi, span = 0.0, widths[start], end - start
+            while lo < span:
+                panels.append((start, lo, min(hi, span)))
+                lo, hi = hi, 2.0 * hi
+        origin, lower, upper = np.array(panels).T
+        half = (upper - lower)[:, None] / 2.0
+        offset = (lower[:, None] + half * (1.0 + _GL_NODES)).ravel()
+        origin = np.repeat(origin, len(_GL_NODES))
+        wm = w * (origin + offset)
+        cdf = -np.expm1(-wm)
+        # Relay k's competitors: the prefix product of the rows above k times
+        # the suffix product of the rows below, with no factor divided out.
+        others = np.ones_like(cdf)
+        np.cumprod(cdf[:-1], axis=0, out=others[1:])
+        others[:-1] *= np.cumprod(cdf[:0:-1], axis=0)[::-1]
+        # h_k's exponent delta_k*x, from each node's offset past its run's
+        # start, which forming m would round away when rho-1 nears 4.5e307.
+        z = (origin - kinks[:, None] + offset) * decay[:, None]
+        h = np.where(z > 0.0, floor[:, None] + k_far[:, None] * np.exp(-np.maximum(z, 0.0)), 1.0)
+        return np.sum(w * np.exp(-wm) * others * h * (half * _GL_WEIGHTS).ravel(), axis=1)
 
 
 def outage_ts(cfg: SystemConfig) -> OutageProbability:

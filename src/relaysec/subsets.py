@@ -17,7 +17,7 @@ the masks whose highest set bit is i are the lower masks plus w_i, so one
 list pass per index doubles a table of totals, one addition per term.
 
 An enumeration takes at most 10 weights (1,023 terms).  The closed forms
-sum over subsets only up to 6 relays, so they never ask for more than 5;
+sum over subsets only up to 5 relays, so they never ask for more than 4;
 larger relay counts are integrated in product form instead, since 2^n terms
 cost too much and cancel too deeply in float64.
 """

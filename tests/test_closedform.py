@@ -385,11 +385,11 @@ class TestCancellationRegime:
             for scheme, p in zip(schemes, row):
                 assert outage_for_scheme(cfg, scheme).p == pytest.approx(p, rel=1e-11, abs=0.0)
 
-    @pytest.mark.parametrize("n", [7, 8, 10])
+    @pytest.mark.parametrize("n", [6, 7, 8, 10])
     def test_selection_schemes_match_the_high_precision_subset_sum(self, n):
         # Relay counts past closedform._SUM_MAX_RELAYS.  A float64 subset sum
-        # is about 1e-12 off at N = 10 (TS, 20 dB), so rel=1e-14 needs the
-        # integral.
+        # is about 1e-12 off at N = 10 (TS, 20 dB) and 5.3e-13 at N = 6
+        # (SS-RE, 30 dB, rate 2.0), so rel=1e-14 needs the integral.
         for snr_db in (0.0, 10.0, 20.0, 30.0):
             for rate in (0.5, 2.0):
                 cfg = spread_config(n, snr_db, rate)
@@ -399,13 +399,22 @@ class TestCancellationRegime:
                     assert got == pytest.approx(expected, rel=1e-14, abs=0.0), (
                         scheme.label, snr_db, rate)
 
+    def test_a_cancelling_relay_integrates_the_whole_cell(self):
+        # One relay's subset sum trips the guard here; summing the other four
+        # left the cell 3.0e-11 off.
+        cfg = spread_config(5, 30.0, 0.5)
+        expected = mp_selection_outage(cfg, "TS")
+        assert outage_ts(cfg).p == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_package_imports_without_mpmath(self):
         # mpmath is a test oracle only.  hashlib (OpenSSL, about 3.6 MB) seeds
         # simulated cells and importlib.metadata would only read a version, so
-        # neither belongs in an import or a closed-form-only sweep.
+        # neither belongs in an import or a closed-form-only sweep; nor does
+        # numpy.polynomial, whose leggauss also starts LAPACK (1.4 MB).
         code = "\n".join([
             "import sys, relaysec, relaysec.cli",
-            "loaded = [m for m in ('mpmath', 'hashlib', 'importlib.metadata') if m in sys.modules]",
+            "loaded = [m for m in ('mpmath', 'hashlib', 'importlib.metadata', 'numpy.polynomial')",
+            "          if m in sys.modules]",
             "assert not loaded, loaded",
             "spec = relaysec.SweepSpec((0.0, 40.0), (0.5,), relaysec.ALL_SCHEMES, n_relays=8)",
             "assert len(relaysec.run_sweep(spec)) == 12",
@@ -425,8 +434,11 @@ def reference_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray, rho: float) -> float:
-    """The one-relay-at-a-time form of the product integral, which the batched
-    closedform._product_integrals must reproduce bit for bit."""
+    """One relay's T_k on its own metric axis t, on panels of its own: halving
+    from rho-1 towards 0, then doubling away from rho-1 at least 90/min(s_k, c)
+    past it.  (A tail of only 90/s_k can stop where the competitor CDF still
+    grows as a power of t: 1.1e-13 low on one N = 12 SS-RD relay whose
+    competitors' rates go down to 3.8e-8 against s_k = 5.7e-3.)"""
     d = rho - 1.0
     g = b_k - s_k
     q = a_k / rho
@@ -436,7 +448,7 @@ def reference_product_integral(b_k: float, a_k: float, s_k: float, c: np.ndarray
     fast = max(float(c.max()), s_k)
     n_head = max(0, math.frexp(d)[1] + math.frexp(fast)[1])
     step = 1.0 / max(fast, delta)
-    n_tail = math.frexp(90.0 / s_k)[1] - math.frexp(step)[1]
+    n_tail = math.frexp(90.0 / min(s_k, float(c.min())))[1] - math.frexp(step)[1] + 1
     head_t, head_w = reference_panels(np.concatenate(([0.0], np.ldexp(d, -np.arange(n_head, -1, -1)))))
     tail_x, tail_w = reference_panels(np.concatenate(([0.0], np.ldexp(step, np.arange(n_tail + 1)))))
     t = np.concatenate((head_t, d + tail_x))
@@ -455,23 +467,47 @@ def relay_jobs(cfg, kind):
             for k, relay in enumerate(cfg.relays)]
 
 
+def integrated_cells(monkeypatch, configs):
+    """Each (kind, cfg, T) that closedform._cell_integrals returns while the
+    TS, SS-RE, SS-RD and SS-SR evaluators run on `configs`.  SS-SR integrates
+    SS-RD on the hop-swapped cell."""
+    cells = []
+    integrate = closedform._cell_integrals
+
+    def record(cfg, *rates):
+        got = integrate(cfg, *rates)
+        cells.append((kind, cfg, got))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(closedform, "_cell_integrals", record)
+        for cfg in configs:
+            for scheme in (TS, SS_RE, SS_RD, SS_SR):
+                kind = "SS-RD" if scheme is SS_SR else scheme.kind
+                outage_for_scheme(cfg, scheme)
+    return cells
+
+
 class TestBatchedIntegralReference:
-    """closedform._product_integrals against reference_product_integral, with ==."""
+    """closedform._cell_integrals, one grid per cell, against
+    reference_product_integral, one grid per relay, to 1e-14 relative."""
 
     @staticmethod
-    def assert_matches_relay_by_relay(jobs, rho):
-        got = closedform._product_integrals(jobs, rho)
-        assert len(got) == len(jobs)
-        for (b_k, a_k, s_k, c), value in zip(jobs, got):
-            assert value == reference_product_integral(b_k, a_k, s_k, np.asarray(c), rho)
+    def assert_matches_relay_by_relay(cells):
+        assert cells
+        for kind, cfg, got in cells:
+            assert len(got) == cfg.n_relays
+            for (b_k, a_k, s_k, c), value in zip(relay_jobs(cfg, kind), got):
+                expected = reference_product_integral(b_k, a_k, s_k, np.asarray(c), cfg.rho)
+                assert value == pytest.approx(expected, rel=1e-14, abs=0.0), (kind, cfg)
 
     @pytest.mark.parametrize("n", range(2, 33))
-    def test_random_configs(self, n):
+    def test_random_configs(self, n, monkeypatch):
         rng = np.random.default_rng(700 + n)
-        for _ in range(2):
-            cfg = random_config(rng, n, snr_lo=-5.0, snr_hi=80.0)
-            for kind in ("TS", "SS-RE", "SS-RD", "SS-SR"):
-                self.assert_matches_relay_by_relay(relay_jobs(cfg, kind), cfg.rho)
+        configs = [random_config(rng, n, snr_lo=-5.0, snr_hi=80.0) for _ in range(2)]
+        # An infinite guard integrates every cell, summed or not.
+        monkeypatch.setattr(closedform, "_CANCEL_GUARD", math.inf)
+        self.assert_matches_relay_by_relay(integrated_cells(monkeypatch, configs))
 
     def test_one_relay_is_the_single_branch_kernel(self):
         # No competitor: the reference has no rate to take a maximum over.
@@ -482,29 +518,39 @@ class TestBatchedIntegralReference:
             relay = cfg.relays[0]
             expected = closedform._kernel(relay.main_rate, relay.eve_rate, cfg.rho)
             for s_k in (relay.main_rate, relay.rd_rate, relay.sr_rate):
-                (value,) = closedform._product_integrals(
-                    [(relay.main_rate, relay.eve_rate, s_k, [])], cfg.rho)
+                (value,) = closedform._cell_integrals(cfg, [s_k], [s_k], [1.0])
                 assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-    def test_rho_one_and_rate_511(self):
+    def test_gauss_legendre_rule(self):
+        nodes, weights = closedform._GL_NODES, closedform._GL_WEIGHTS
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+        assert np.abs(nodes - ref_nodes).max() <= 1e-15
+        assert np.abs(weights / ref_weights - 1.0).max() <= 1e-14
+        # Exact for every polynomial of degree up to 31.
+        for degree in range(32):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert math.fsum(weights * nodes**degree) == pytest.approx(exact, rel=1e-15, abs=1e-16)
+
+    def test_rho_one_and_rate_511(self, monkeypatch):
         rng = np.random.default_rng(17)
+        configs = []
         for n in (2, 7, 12):
             # Hops at -10 to -4 dB put every main rate above 4.
             base = random_config(rng, n, snr_lo=-10.0, snr_hi=-4.0)
-            # rho == 1 exactly leaves a head of zero-width panels; at rate
-            # 511, rho - 1 is near 4.5e307, so s_k*t overflows to inf.
+            # rho == 1 exactly puts every kink at 0; at rate 511, rho - 1 is
+            # near 4.5e307, so s_k*t overflows to inf.
             for rate in (1e-17, 511.0):
                 cfg = SystemConfig(base.relays, rate)
-                jobs = relay_jobs(cfg, "SS-RE")
                 if rate < 1.0:
                     assert cfg.rho == 1.0
                 else:
-                    assert max(s_k for _, _, s_k, _ in jobs) * (cfg.rho - 1.0) * 4.0 == math.inf
-                self.assert_matches_relay_by_relay(jobs, cfg.rho)
+                    assert min(r.main_rate for r in cfg.relays) * (cfg.rho - 1.0) * 4.0 == math.inf
+                configs.append(cfg)
+        monkeypatch.setattr(closedform, "_CANCEL_GUARD", math.inf)
+        self.assert_matches_relay_by_relay(integrated_cells(monkeypatch, configs))
 
     def test_block_memory_stays_bounded_at_many_relays(self):
-        # One 96-relay cell needs 96 * 95 competitor factors per node; built
-        # whole they would take about 40 MiB.
+        # One 96-relay cell holds a few 96-row arrays over its shared nodes.
         cfg = spread_config(96, 40.0)
         tracemalloc.start()
         try:
@@ -514,25 +560,28 @@ class TestBatchedIntegralReference:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_no_panels_past_underflow_at_rate_511(self):
+        # rho - 1 near 4.5e307 puts every kink far past 746/min(w), where
+        # each e^{-w_i m} is exactly 0: the grid ends there.
+        cfg = SystemConfig((RelayLinkParams.from_mean_snr_db(-8.0, -8.0, -8.0),) * 32, 511.0)
+        tracemalloc.start()
+        try:
+            p = outage_ts(cfg).p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        assert peak < 2 * 2**20
+
     def test_every_batch_the_evaluators_integrate(self, monkeypatch):
-        batches = []
-        batched = closedform._product_integrals
-
-        def record(jobs, rho):
-            batches.append((jobs, rho))
-            return batched(jobs, rho)
-
-        monkeypatch.setattr(closedform, "_product_integrals", record)
-        # N <= 6 cells at high SNR, where only the relays whose subset sum
-        # cancels are integrated, then N >= 7 cells, where all are.
+        # Cells of at most _SUM_MAX_RELAYS relays at high SNR, where a relay
+        # whose subset sum cancels hands the whole cell to the integral, then
+        # cells past it, which always integrate.
         configs = [spread_config(n, snr_db, rate)
                    for n in (2, 3, 4, 5, 6, 8) for snr_db in (20.0, 40.0, 60.0, 80.0)
                    for rate in (0.5, 2.0)]
-        for cfg in configs:
-            for scheme in (TS, SS_RE, SS_RD, SS_SR):
-                outage_for_scheme(cfg, scheme)
-        monkeypatch.undo()
-        sizes = [len(jobs) for jobs, _ in batches]
-        assert 1 in sizes and 8 in sizes and any(1 < size < 6 for size in sizes)
-        for jobs, rho in batches:
-            self.assert_matches_relay_by_relay(jobs, rho)
+        cells = integrated_cells(monkeypatch, configs)
+        sizes = {cfg.n_relays for _, cfg, _ in cells}
+        assert {2, 5, 6, 8} <= sizes
+        assert len(cells) < 4 * len(configs)
+        self.assert_matches_relay_by_relay(cells)

@@ -258,8 +258,11 @@ class TestCsvEmission:
         # with split 0.3, 0-80 dB in 10 dB steps, eavesdroppers spread evenly
         # over 0-9 dB.  The digest was re-recorded when relay counts above six
         # moved from the float64 subset sum to the product-form integral (74
-        # cells, all N = 8 or 10, moved by at most 1.2e-12 relative); any
-        # later change must keep every p_closed bit for bit.
+        # cells, all N = 8 or 10, moved by at most 1.2e-12 relative), and
+        # again when every relay of a cell moved onto one integration grid
+        # with its own Gauss-Legendre rule (119 cells moved; against a
+        # 150-digit subset sum the worst of them went from 1.2e-12 to 5.5e-16
+        # relative); any later change must keep every p_closed bit for bit.
         families = ((4, (0.5, 2.0), (0.3, 0.7)), (8, (0.5, 2.0), (0.3, 0.7)), (10, (0.5,), (0.3,)))
         digest = hashlib.sha256()
         for scheme in ALL_SCHEMES:
@@ -275,7 +278,7 @@ class TestCsvEmission:
                     )
                     digest.update(render_csv(run_sweep(spec)).encode("utf-8"))
         assert digest.hexdigest() == (
-            "b2de0a17493b8c5f256e77a772cc5127cfd3f3e757e3524feb8d29cff1b38794"
+            "9327aa1c499ead593e3b9edab71516d8ec0aa395066ea226203502fdd4a6ae3a"
         )
 
 
