@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .closedform import _kernel
 from .params import ConfigError, _require_positive_finite
 
 __all__ = [
@@ -58,25 +59,21 @@ def asymp_single_balanced(eve_rate: float, rho: float, mean_snr: float) -> Asymp
     return AsymptoteResult(value=value, slope_order=1)
 
 
-def _single_floor(fixed_rate: float, eve_rate: float, rho: float) -> float:
-    return 1.0 - eve_rate * math.exp(-fixed_rate * (rho - 1.0)) / (rho * fixed_rate + eve_rate)
-
-
 def asymp_single_unbalanced(
     fixed_rate: float, eve_rate: float, rho: float, mean_snr: float
 ) -> AsymptoteResult:
     """Single-branch outage with one hop pinned at rate `fixed_rate` while the
     other hop's mean SNR grows.
 
-    The result splits into an SNR-independent floor plus a term decaying like
-    1/mean_snr.  Which hop is pinned does not matter: the two unbalanced
-    cases are symmetric.
+    The result splits into an SNR-independent floor, the single-branch
+    outage W(fixed_rate), plus a term decaying like 1/mean_snr.  Which hop is
+    pinned does not matter: the two unbalanced cases are symmetric.
     """
     fixed_rate = _require_positive_finite("fixed_rate", fixed_rate)
     eve_rate = _require_positive_finite("eve_rate", eve_rate)
     rho = _check_rho(rho)
     mean_snr = _require_positive_finite("mean_snr", mean_snr)
-    floor = _single_floor(fixed_rate, eve_rate, rho)
+    floor = _kernel(fixed_rate, eve_rate, rho)
     emitted = eve_rate * math.exp(-fixed_rate * (rho - 1.0))
     varying = (rho + (rho - 1.0) * emitted) / (rho * fixed_rate + eve_rate) / mean_snr
     return AsymptoteResult(value=floor + varying, slope_order=1, floor=floor)
@@ -111,7 +108,7 @@ def asymp_os_unbalanced_floor(
         raise ConfigError("fixed_rates and eve_rates must share a length >= 1")
     floor = 1.0
     for b, a in zip(fixed, eves):
-        floor *= _single_floor(b, a, rho)
+        floor *= _kernel(b, a, rho)
     return AsymptoteResult(value=floor, slope_order=1, floor=floor)
 
 

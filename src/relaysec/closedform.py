@@ -11,7 +11,8 @@ B.  Averaging the outage event over the eavesdropper's exponential fading
 
 evaluated here in the cancellation-free form
 (B*rho - a*expm1(-B*(rho-1))) / (B*rho + a), which stays accurate for B -> 0
-and saturates to exactly 1 for large B*(rho-1).
+and saturates to exactly 1 for large B*(rho-1).  OS is the product of the
+per-relay W(B_k), PS their minimum, and a pinned relay its own.
 
 Multi-relay schemes
 -------------------
@@ -23,11 +24,12 @@ to the same shape,
     T_k = sum over subsets A of the other relays (empty set included) of
           (-1)^|A| * s_k/(s_k + c_A) * W_k(B_k + c_A)
 
-where s_k is the rate of the metric the selection compares, c_A the subset
-aggregate of the competitors' metric rates (scaled back to the main-channel
-axis for SS-RE), and B_k the selected branch's min-of-hops rate.  The empty
-subset contributes W_k(B_k), which makes the N = 1 case collapse to the
-single-relay expression with no special handling.
+where s_k is the rate of the metric the selection compares (SS-SR's is the
+SR hop's, SS-RD's rule on the other hop), c_A the subset aggregate of the
+competitors' metric rates (scaled back to the main-channel axis for SS-RE),
+and B_k the selected branch's min-of-hops rate.  The empty subset contributes
+W_k(B_k), which makes the N = 1 case collapse to the single-relay expression
+with no special handling.
 
 The sum has 2^(N-1) terms and at high SNR cancels almost completely.  T_k is
 also the positive integral that the sum expands,
@@ -41,8 +43,10 @@ grid split at each relay's kink scale_k*(rho-1) serves the whole cell; no
 factor cancels or is divided out, so each T_k comes out to about 1e-15
 relative at a cost linear in N.  T_k is the float64 subset sum for at most
 _SUM_MAX_RELAYS relays, unless one relay's sum cancels past _CANCEL_GUARD,
-and every relay's integral otherwise; any N >= 1 is evaluated.  On a 2-core
-VM an integrated TS cell took 0.12-0.30 ms at N = 4-16, 0.24-1.1 ms at 32.
+and every relay's integral otherwise; any N >= 1 is evaluated, and a metric
+rate outside float64's range raises CancellationError at every N.  On a
+2-core VM an integrated TS cell took 0.12-0.30 ms at N = 4-16, 0.24-1.1 ms
+at 32.
 """
 
 from __future__ import annotations
@@ -112,7 +116,9 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 class CancellationError(ArithmeticError):
-    """Assembled probability fell outside [0, 1] by more than round-off."""
+    """A closed form failed in float64: its value was non-finite or left
+    [0, 1] by more than round-off, or a selection-metric rate left the
+    float64 range."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _as_probability(raw: float, scheme: SelectionScheme) -> OutageProbability:
         return OutageProbability(1.0, scheme, clamped=True)
     raise CancellationError(
         f"{scheme.label}: outage value {raw!r} outside [0, 1] beyond the "
-        f"{CLAMP_TOL:g} clamp band; alternating-sum cancellation blew up"
+        f"{CLAMP_TOL:g} clamp band"
     )
 
 
@@ -166,36 +172,39 @@ def single_relay_outage(relay: RelayLinkParams, rho: float) -> OutageProbability
     return _as_probability(raw, single(1))
 
 
+def _branch_outages(cfg: SystemConfig) -> list[float]:
+    """Every relay's single-branch outage W(B_k), in relay order."""
+    rho = cfg.rho
+    return [_kernel(r.main_rate, r.eve_rate, rho) for r in cfg.relays]
+
+
 def outage_os(cfg: SystemConfig) -> OutageProbability:
     """Outage under best-secrecy-rate selection: the selected relay fails only
     if every relay fails, so the probability is the product of the per-relay
     single-branch outages."""
-    rho = cfg.rho
-    p = 1.0
-    for r in cfg.relays:
-        p *= _kernel(r.main_rate, r.eve_rate, rho)
-    return _as_probability(p, OS)
+    return _as_probability(math.prod(_branch_outages(cfg)), OS)
 
 
 def _selection_sum(
     cfg: SystemConfig,
     scheme: SelectionScheme,
     select_rates: list[float],
-    weights: list[float],
     couple_scales: list[float],
 ) -> OutageProbability:
     """Assemble sum_k T_k for a metric-based selection scheme.
 
     select_rates[k]  rate of relay k's own selection metric
-    weights[i]       relay i's metric rate on the comparison axis
     couple_scales[k] maps the comparison axis onto relay k's main-channel
-                     rate axis (1 except for SS-RE)
+                     rate axis (1 except for SS-RE); relay k's metric rate
+                     on that axis is select_rates[k] / couple_scales[k]
     """
+    weights = [s / c for s, c in zip(select_rates, couple_scales)]
+    if not 0.0 < min(weights) <= max(weights) < math.inf:
+        raise CancellationError(f"{scheme.label}: selection-metric rates left float64's range")
     rho = cfg.rho
     if cfg.n_relays <= _SUM_MAX_RELAYS:
         contributions: list[float] = []
-        for k, relay in enumerate(cfg.relays):
-            lead = _kernel(relay.main_rate, relay.eve_rate, rho)
+        for k, (relay, lead) in enumerate(zip(cfg.relays, _branch_outages(cfg))):
             peak = abs(lead)
 
             def term_value(term, _bk=relay.main_rate, _ak=relay.eve_rate,
@@ -230,8 +239,6 @@ def _cell_integrals(
     first is 1/max(w) wide, or less where an h_k decays faster.  Needs
     s_k <= b_k (every scheme)."""
     fast, slow = max(weights), min(weights)
-    if fast == math.inf:  # a metric rate past float64: no panel is that narrow
-        raise CancellationError(f"selection-metric rate {fast!r} overflowed float64")
     cut = 746.0 / slow
     d = cfg.rho - 1.0
     w = np.array(weights)[:, None]
@@ -279,7 +286,7 @@ def _cell_integrals(
 def outage_ts(cfg: SystemConfig) -> OutageProbability:
     """Outage when the relay with the strongest min-of-hops SNR is selected."""
     main = [r.main_rate for r in cfg.relays]
-    return _selection_sum(cfg, TS, main, main, [1.0] * cfg.n_relays)
+    return _selection_sum(cfg, TS, main, [1.0] * cfg.n_relays)
 
 
 def outage_ss_re(cfg: SystemConfig) -> OutageProbability:
@@ -290,45 +297,32 @@ def outage_ss_re(cfg: SystemConfig) -> OutageProbability:
     scaling of the TS metric, so the result coincides with TS.
     """
     main = [r.main_rate for r in cfg.relays]
-    weights = [r.main_rate / r.eve_rate for r in cfg.relays]
-    scales = [r.eve_rate for r in cfg.relays]
-    return _selection_sum(cfg, SS_RE, main, weights, scales)
+    return _selection_sum(cfg, SS_RE, main, [r.eve_rate for r in cfg.relays])
 
 
 def outage_ss_rd(cfg: SystemConfig) -> OutageProbability:
     """Outage when only the relay-destination hop SNR drives the selection."""
     rd = [r.rd_rate for r in cfg.relays]
-    return _selection_sum(cfg, SS_RD, rd, rd, [1.0] * cfg.n_relays)
+    return _selection_sum(cfg, SS_RD, rd, [1.0] * cfg.n_relays)
 
 
 def outage_ss_sr(cfg: SystemConfig) -> OutageProbability:
-    """Outage when only the source-relay hop SNR drives the selection.
-
-    Mirror image of SS-RD under a hop swap, and computed exactly that way.
-    """
-    swapped = outage_ss_rd(cfg.swap_hops())
-    return OutageProbability(swapped.p, SS_SR, swapped.clamped)
+    """Outage when only the source-relay hop SNR drives the selection: SS-RD's
+    rule on the other hop, since either hop can equally limit the branch."""
+    sr = [r.sr_rate for r in cfg.relays]
+    return _selection_sum(cfg, SS_SR, sr, [1.0] * cfg.n_relays)
 
 
 def select_ps(cfg: SystemConfig) -> int:
     """Statistics-only selection: the 1-based relay index minimising the
     single-branch outage.  Ties break to the lowest index."""
-    rho = cfg.rho
-    best_k = 1
-    best_p = _kernel(cfg.relays[0].main_rate, cfg.relays[0].eve_rate, rho)
-    for k, r in enumerate(cfg.relays[1:], start=2):
-        p = _kernel(r.main_rate, r.eve_rate, rho)
-        if p < best_p:
-            best_p = p
-            best_k = k
-    return best_k
+    branches = _branch_outages(cfg)
+    return branches.index(min(branches)) + 1
 
 
 def outage_ps(cfg: SystemConfig) -> OutageProbability:
     """Outage of the statistics-only scheme: the minimum single-branch value."""
-    k = select_ps(cfg)
-    p = single_relay_outage(cfg.relays[k - 1], cfg.rho)
-    return OutageProbability(p.p, PS, p.clamped)
+    return _as_probability(min(_branch_outages(cfg)), PS)
 
 
 _EVALUATORS = {"OS": outage_os, "TS": outage_ts, "SS-RE": outage_ss_re,
@@ -340,5 +334,5 @@ def outage_for_scheme(cfg: SystemConfig, scheme: SelectionScheme) -> OutageProba
     scheme.validate_for(cfg)
     if scheme.kind in _EVALUATORS:
         return _EVALUATORS[scheme.kind](cfg)
-    p = single_relay_outage(cfg.relays[scheme.relay - 1], cfg.rho)
-    return OutageProbability(p.p, scheme, p.clamped)
+    relay = cfg.relays[scheme.relay - 1]
+    return _as_probability(_kernel(relay.main_rate, relay.eve_rate, cfg.rho), scheme)

@@ -159,10 +159,6 @@ class RelayLinkParams:
             eve_rate=1.0 / db_to_linear(eve_db),
         )
 
-    def swap_hops(self) -> "RelayLinkParams":
-        """Exchange the two main-channel hops; eavesdropper link unchanged."""
-        return RelayLinkParams(self.rd_rate, self.sr_rate, self.eve_rate)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -188,9 +184,6 @@ class SystemConfig:
     @property
     def rho(self) -> float:
         return rho_of_rate(self.rate_rs)
-
-    def swap_hops(self) -> "SystemConfig":
-        return SystemConfig(tuple(r.swap_hops() for r in self.relays), self.rate_rs)
 
 
 _SCHEME_KINDS = ("OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS", "SINGLE")

@@ -38,6 +38,7 @@ from .params import (
     _require_seed,
     db_to_linear,
     parse_scheme,
+    rho_of_rate,
     single,
     split_total_snr,
 )
@@ -112,8 +113,7 @@ class SweepSpec:
         object.__setattr__(self, "snr_grid_db", _ascending("snr_grid_db", self.snr_grid_db))
         object.__setattr__(self, "rates", _ascending("rates", self.rates))
         for r in self.rates:
-            if r <= 0.0:
-                raise ConfigError(f"rates must be positive, got {r!r}")
+            rho_of_rate(r)
         object.__setattr__(self, "n_relays", _require_int("n_relays", self.n_relays, 1))
         schemes = tuple(self.schemes)
         if not schemes:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,6 +67,38 @@ class TestSingleUnbalanced:
         varying_at_one = asymp_single_unbalanced(fixed_rate, eve_rate, rho, 1.0).value - floor
         crossing_snr = varying_at_one / floor  # varying scales as 1/snr
         assert 10.0 * math.log10(crossing_snr) == pytest.approx(fixed_db, abs=0.5)
+
+
+def mp_floor(fixed_rate, eve_rate, rho):
+    """The single-branch W(B) at B = fixed_rate, to 50 digits."""
+    with mpmath.workdps(50):
+        b, a, rho = map(mpmath.mpf, (fixed_rate, eve_rate, rho))
+        return 1 - a * mpmath.exp(-b * (rho - 1)) / (b * rho + a)
+
+
+class TestUnbalancedFloorAccuracy:
+    """Pinned hops at 25-70 dB against an eavesdropper at 6 dB put the floor
+    far below 1, where 1 - a*e^{-B(rho-1)}/(B*rho + a) loses digits."""
+
+    PINNED_DB = (25.0, 35.0, 70.0)
+    EVE_RATE = 1.0 / db_to_linear(6.0)
+
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("fixed_db", PINNED_DB)
+    def test_single_floor(self, fixed_db, rate):
+        fixed, rho = 1.0 / db_to_linear(fixed_db), rho_of_rate(rate)
+        floor = asymp_single_unbalanced(fixed, self.EVE_RATE, rho, 1.0).floor
+        expected = float(mp_floor(fixed, self.EVE_RATE, rho))
+        assert floor == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 2.0])
+    def test_best_selection_floor(self, rate):
+        fixed = [1.0 / db_to_linear(db) for db in self.PINNED_DB]
+        rho = rho_of_rate(rate)
+        floor = asymp_os_unbalanced_floor(fixed, [self.EVE_RATE] * len(fixed), rho).floor
+        with mpmath.workdps(50):
+            expected = float(mpmath.fprod(mp_floor(b, self.EVE_RATE, rho) for b in fixed))
+        assert floor == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestBestSelectionBalanced:

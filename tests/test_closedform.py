@@ -179,10 +179,17 @@ class TestSingleHopSelections:
             assert outage_ss_rd(cfg).p == pytest.approx(outage_ss_sr(cfg).p, abs=1e-12)
 
     def test_hop_swap_identity(self):
+        # SS-SR is SS-RD's rule on the other hop, so swapping every relay's
+        # hops swaps the two schemes' values.
         rng = np.random.default_rng(13)
         for _ in range(10):
             cfg = random_config(rng, 3)
-            assert outage_ss_sr(cfg).p == outage_ss_rd(cfg.swap_hops()).p
+            swapped = SystemConfig(
+                tuple(RelayLinkParams(r.rd_rate, r.sr_rate, r.eve_rate) for r in cfg.relays),
+                cfg.rate_rs,
+            )
+            assert outage_ss_sr(cfg).p == outage_ss_rd(swapped).p
+            assert outage_ss_rd(cfg).p == outage_ss_sr(swapped).p
 
 
 class TestStatisticsOnlySelection:
@@ -357,6 +364,23 @@ def spread_config(n, snr_db, rate=0.5):
     return SystemConfig(relays, rate)
 
 
+class TestMetricRateOutOfRange:
+    """SS-RE compares b/a, which leaves float64 where neither b nor a does."""
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0)],
+                             ids=["overflow", "underflow"])
+    def test_ss_re_raises_at_every_relay_count(self, n, hop_db, eve_db):
+        extreme = RelayLinkParams.from_mean_snr_db(hop_db, hop_db, eve_db)
+        plain = RelayLinkParams.from_mean_snr_db(10.0, 10.0, 0.0)
+        cfg = SystemConfig((extreme,) + (plain,) * (n - 1), 0.5)
+        with pytest.raises(CancellationError, match="selection-metric rates"):
+            outage_for_scheme(cfg, SS_RE)
+        for scheme in ALL_SCHEMES:
+            if scheme is not SS_RE:
+                assert 0.0 <= outage_for_scheme(cfg, scheme).p <= 1.0, scheme.label
+
+
 class TestCancellationRegime:
     """Multi-relay sums where the alternating subset expansion cancels."""
 
@@ -469,8 +493,7 @@ def relay_jobs(cfg, kind):
 
 def integrated_cells(monkeypatch, configs):
     """Each (kind, cfg, T) that closedform._cell_integrals returns while the
-    TS, SS-RE, SS-RD and SS-SR evaluators run on `configs`.  SS-SR integrates
-    SS-RD on the hop-swapped cell."""
+    TS, SS-RE, SS-RD and SS-SR evaluators run on `configs`."""
     cells = []
     integrate = closedform._cell_integrals
 
@@ -483,7 +506,7 @@ def integrated_cells(monkeypatch, configs):
         patch.setattr(closedform, "_cell_integrals", record)
         for cfg in configs:
             for scheme in (TS, SS_RE, SS_RD, SS_SR):
-                kind = "SS-RD" if scheme is SS_SR else scheme.kind
+                kind = scheme.kind
                 outage_for_scheme(cfg, scheme)
     return cells
 

@@ -93,11 +93,6 @@ class TestRelayLinkParams:
         assert r.rd_rate == pytest.approx(0.1, rel=1e-12)
         assert r.eve_rate == pytest.approx(1.0, rel=1e-12)
 
-    def test_swap_hops(self):
-        r = RelayLinkParams(0.1, 0.4, 1.5)
-        s = r.swap_hops()
-        assert (s.sr_rate, s.rd_rate, s.eve_rate) == (0.4, 0.1, 1.5)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_rates(self, bad):
         with pytest.raises(ConfigError):
@@ -121,12 +116,6 @@ class TestSystemConfig:
             SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.0)
         with pytest.raises(ConfigError):
             SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=600.0)
-
-    def test_swap_hops_round_trip(self):
-        cfg = SystemConfig(
-            (RelayLinkParams(0.1, 0.2, 0.3), RelayLinkParams(0.4, 0.5, 0.6)), 1.0
-        )
-        assert cfg.swap_hops().swap_hops() == cfg
 
 
 class TestSelectionScheme:

@@ -93,6 +93,11 @@ class TestSweepSpecValidation:
         )
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
+    def test_rejects_a_rate_past_the_rho_range(self):
+        # Refused when the spec is built, before any cell is computed.
+        with pytest.raises(ConfigError, match="below 512"):
+            single_relay_spec(rates=(0.5, 600.0))
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ConfigError):
             SweepSpec.from_dict({"snr_grid_db": [0.0], "rates": [1.0], "schemes": ["OS"], "noise": 1})
@@ -479,6 +484,17 @@ class TestCli:
         monkeypatch.setattr(cli, "outage_for_scheme", failing)
         assert main(["outage", "--config", str(self.write_config(tmp_path))]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0)],
+                             ids=["overflow", "underflow"])
+    def test_metric_rate_out_of_range_exits_3(self, tmp_path, capsys, hop_db, eve_db):
+        # SS-RE compares b/a, which leaves float64 on the first relay.
+        relays = [{"sr_snr_db": hop_db, "rd_snr_db": hop_db, "eve_snr_db": eve_db},
+                  {"sr_snr_db": 10.0, "rd_snr_db": 10.0, "eve_snr_db": 0.0}]
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
+        assert main(["outage", "--config", str(path)]) == 3
+        assert "numerical failure: SS-RE: selection-metric rates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
