@@ -18,6 +18,13 @@ simulated at the same seed sees the same channel realizations (selection
 consumes no randomness).  A call with more than one block runs them on a
 thread pool capped at the available cores; each thread computes in its own
 reused workspace, and no returned array aliases one.
+
+Only the link rates turn ln(U) into link SNRs, so `simulate_outage` also takes
+a sequence of configs with one relay count, such as the cells of a sweep
+curve: each block's ln(U) is drawn once and every config divides it by its
+own rates, a chunk of rows at a time.  Config i's estimate is bit-identical
+to a call with that config alone; the estimates share their uniforms, so
+they are correlated while each one's distribution is unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -46,9 +54,12 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
-# Row indices of a block, made once: a fresh arange per block in every pool
-# thread costs fig5 about 0.6 MB of peak RSS.
-_ROWS = np.arange(BLOCK_SIZE)
+# Rows of a block turned into link SNRs at a time: the block's ln(U) and one
+# chunk's links and metric scratch fill 4 * BLOCK_SIZE * n doubles.
+_CHUNK = BLOCK_SIZE // 4
+# Row indices of a chunk, made once: a fresh arange per block in every pool
+# thread cost fig5 about 0.6 MB of peak RSS.
+_ROWS = np.arange(_CHUNK)
 
 # Per-thread block workspace, and the pool that runs a call's blocks.  Tests
 # replace _pool to fix the worker count.
@@ -100,38 +111,48 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + block_index))
 
 
-def _workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's (size, n, 3) link buffer and (size, n) metric scratch:
-    views of one flat buffer that grows to the largest block it has held."""
+def _workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's (size, n, 3) ln(U) block, and a chunk's (c, n, 3) link
+    buffer and (c, n) metric scratch for c = min(size, _CHUNK): views of one
+    flat buffer that grows to the largest block it has held, at most
+    4 * BLOCK_SIZE * n doubles."""
+    chunk = min(size, _CHUNK)
+    logu, links, need = 3 * size * n, 3 * chunk * n, (3 * size + 4 * chunk) * n
     buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < 4 * size * n:
-        buf = _local.buf = np.empty(4 * size * n)
-    links = 3 * size * n
-    return buf[:links].reshape(size, n, 3), buf[links : links + size * n].reshape(size, n)
+    if buf is None or buf.size < need:
+        buf = _local.buf = np.empty(need)
+    return (
+        buf[:logu].reshape(size, n, 3),
+        buf[logu : logu + links].reshape(chunk, n, 3),
+        buf[logu + links : need].reshape(chunk, n),
+    )
 
 
 def _draw(
-    cfg: SystemConfig, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Link SNRs of `size` trials, (size, n_relays, 3) in (sr, rd, eve) order,
-    from 3 uniforms per relay taken in trial, relay, link order, plus the
-    metric scratch.  Both are this thread's workspace; exact-zero uniforms
-    are redrawn from `rng` so -ln(U) stays finite."""
-    g, scratch = _workspace(size, cfg.n_relays)
-    rng.random(out=g)
-    while not g.all():
-        zero = g == 0.0
-        g[zero] = rng.random(int(zero.sum()))
-    np.log(g, out=g)
-    # ln(U) / -rate is -ln(U) / rate to the bit.
-    g /= -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
-    return g, scratch
+    rng: np.random.Generator, size: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ln(U) of `size` trials, (size, n, 3) in (sr, rd, eve) order, from 3
+    uniforms per relay taken in trial, relay, link order, plus the chunk
+    buffers.  All three are this thread's workspace; exact-zero uniforms are
+    redrawn from `rng` so ln(U) stays finite."""
+    logu, links, scratch = _workspace(size, n)
+    rng.random(out=logu)
+    while not logu.all():
+        zero = logu == 0.0
+        logu[zero] = rng.random(int(zero.sum()))
+    np.log(logu, out=logu)
+    return logu, links, scratch
+
+
+def _neg_rates(cfg: SystemConfig) -> np.ndarray:
+    """-rate of every link, (n, 3): ln(U) / -rate is -ln(U) / rate to the bit."""
+    return -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
 
 
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization, a one-trial block; consumes 3 uniforms
     per relay, so successive calls walk the stream a block would draw."""
-    g = _draw(cfg, rng, 1)[0][0]
+    g = _draw(rng, 1, cfg.n_relays)[0][0] / _neg_rates(cfg)
     return ChannelRealization(
         gamma_sr=tuple(g[:, 0]), gamma_rd=tuple(g[:, 1]), gamma_eve=tuple(g[:, 2])
     )
@@ -188,21 +209,38 @@ def _select(
 
 
 def _block_outages(
-    scheme: SelectionScheme, cfg: SystemConfig, seed: int, block_index: int, out: np.ndarray
-) -> int:
-    """Outage flags of block `block_index`'s len(out) trials, written to
-    `out`; returns how many are set."""
-    g, scratch = _draw(cfg, block_generator(seed, block_index), len(out))
-    g[:, :, 2] += 1.0
-    idx = _select(scheme, cfg, g, scratch)
-    chosen = g[_ROWS[: len(out)], idx]  # the chosen relay's three links
-    main = np.minimum(chosen[:, 0], chosen[:, 1], out=chosen[:, 0])
-    main += 1.0
-    chosen[:, 2] *= cfg.rho
-    # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
-    # comparison stays correct when the secrecy rate clips to zero.
-    np.less(main, chosen[:, 2], out=out)
-    return int(np.count_nonzero(out))
+    scheme: SelectionScheme,
+    cfgs: tuple[SystemConfig, ...],
+    neg_rates: list[np.ndarray],
+    seed: int,
+    block_index: int,
+    outs: list[np.ndarray],
+) -> np.ndarray:
+    """Outage flags of block `block_index`'s trials under each config, from
+    one draw of len(outs[0]) trials; config i's flags are written to outs[i]
+    and its count is entry i of the result."""
+    size, n = len(outs[0]), cfgs[0].n_relays
+    logu, links, scratch = _draw(block_generator(seed, block_index), size, n)
+    counts = np.zeros(len(cfgs), dtype=np.int64)
+    # Each trial's first relay among a chunk's links viewed as (c * n, 3).
+    first_relay = _ROWS[: len(links)] * n
+    # Chunk-major, so a chunk of ln(U) stays in cache while every config reads it.
+    for lo in range(0, size, len(links)):
+        hi = min(lo + len(links), size)
+        for i, (cfg, rates, out) in enumerate(zip(cfgs, neg_rates, outs)):
+            g = np.divide(logu[lo:hi], rates, out=links[: hi - lo])
+            g[:, :, 2] += 1.0
+            idx = _select(scheme, cfg, g, scratch[: hi - lo])
+            # The chosen relay's three links; take is a faster g[rows, idx].
+            chosen = g.reshape(-1, 3).take(first_relay[: hi - lo] + idx, axis=0)
+            main = np.minimum(chosen[:, 0], chosen[:, 1], out=chosen[:, 0])
+            main += 1.0
+            chosen[:, 2] *= cfg.rho
+            # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
+            # comparison stays correct when the secrecy rate clips to zero.
+            flags = np.less(main, chosen[:, 2], out=out[lo:hi])
+            counts[i] += np.count_nonzero(flags)
+    return counts
 
 
 def _cores() -> int:
@@ -233,43 +271,81 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _configs(cfg: SystemConfig | Sequence[SystemConfig]) -> tuple[SystemConfig, ...]:
+    """One config, or a non-empty sequence of configs with one relay count,
+    as a tuple."""
+    if isinstance(cfg, SystemConfig):
+        return (cfg,)
+    cfgs = tuple(cfg) if isinstance(cfg, (list, tuple)) else ()
+    if not cfgs or not all(isinstance(c, SystemConfig) for c in cfgs):
+        raise ConfigError(
+            f"expected a SystemConfig or a non-empty sequence of them, got {cfg!r}"
+        )
+    if len({c.n_relays for c in cfgs}) > 1:
+        raise ConfigError("configs simulated on one draw must share one relay count")
+    return cfgs
+
+
 def _run_blocks(
-    cfg: SystemConfig, scheme: SelectionScheme, trials: int, seed: int, keep_flags: bool
-) -> tuple[int, int, int, np.ndarray | None]:
-    """Shared body of the simulators: validated (trials, seed), the outage
-    count summed in block order, and, if kept, the per-trial flags, which
-    each block writes into its own slice."""
-    scheme.validate_for(cfg)
+    cfgs: tuple[SystemConfig, ...],
+    scheme: SelectionScheme,
+    trials: int,
+    seed: int,
+    keep_flags: bool,
+) -> tuple[int, int, np.ndarray, np.ndarray | None]:
+    """Shared body of the simulators: validated (trials, seed), each config's
+    outage count summed in block order, and, if kept, the per-trial flags of
+    the one config, which each block writes into its own slice."""
+    for cfg in cfgs:
+        scheme.validate_for(cfg)
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
+    neg_rates = [_neg_rates(cfg) for cfg in cfgs]
 
-    def block(b: int) -> int:
+    def block(b: int) -> np.ndarray:
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, trials)
-        out = np.empty(hi - lo, dtype=bool) if flags is None else flags[lo:hi]
-        return _block_outages(scheme, cfg, seed, b, out)
+        # Without kept flags the configs take turns in one array, each
+        # counted before the next one writes.
+        outs = [np.empty(hi - lo, dtype=bool)] * len(cfgs) if flags is None else [flags[lo:hi]]
+        return _block_outages(scheme, cfgs, neg_rates, seed, b, outs)
 
     n_blocks = -(-trials // BLOCK_SIZE)
     if n_blocks == 1:
         return trials, seed, block(0), flags
     # A few blocks per core are in flight at once, so a call of any length
     # holds a bounded number of futures; counts are summed in block order.
-    pool, window, pending, outages = _executor(), 4 * _cores(), deque(), 0
+    pool, window, pending = _executor(), 4 * _cores(), deque()
+    outages = np.zeros(len(cfgs), dtype=np.int64)
     for b in range(n_blocks):
         if len(pending) == window:
             outages += pending.popleft().result()
         pending.append(pool.submit(block, b))
-    return trials, seed, outages + sum(f.result() for f in pending), flags
+    for f in pending:
+        outages += f.result()
+    return trials, seed, outages, flags
 
 
 def simulate_outage(
-    cfg: SystemConfig, scheme: SelectionScheme, trials: int, seed: int
-) -> MonteCarloEstimate:
-    """Empirical secrecy outage probability over `trials` seeded trials."""
-    trials, seed, outages, _ = _run_blocks(cfg, scheme, trials, seed, keep_flags=False)
-    p_hat = outages / trials
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return MonteCarloEstimate(p_hat=p_hat, trials=trials, std_err=std_err, seed=seed)
+    cfg: SystemConfig | Sequence[SystemConfig],
+    scheme: SelectionScheme,
+    trials: int,
+    seed: int,
+) -> MonteCarloEstimate | tuple[MonteCarloEstimate, ...]:
+    """Empirical secrecy outage probability over `trials` seeded trials.
+
+    Given a sequence of configs with one relay count, returns a tuple with
+    one estimate per config, all from one draw: entry i equals
+    simulate_outage(cfg[i], scheme, trials, seed).
+    """
+    cfgs = _configs(cfg)
+    trials, seed, outages, _ = _run_blocks(cfgs, scheme, trials, seed, keep_flags=False)
+    estimates = []
+    for count in outages:
+        p_hat = int(count) / trials
+        std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        estimates.append(MonteCarloEstimate(p_hat=p_hat, trials=trials, std_err=std_err, seed=seed))
+    return estimates[0] if isinstance(cfg, SystemConfig) else tuple(estimates)
 
 
 def outage_flags(
@@ -280,4 +356,4 @@ def outage_flags(
     Different schemes evaluated at one seed share identical realizations,
     which makes pathwise comparisons between selection rules possible.
     """
-    return _run_blocks(cfg, scheme, trials, seed, keep_flags=True)[3]
+    return _run_blocks((cfg,), scheme, trials, seed, keep_flags=True)[3]

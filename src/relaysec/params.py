@@ -79,11 +79,18 @@ def rho_of_rate(rate_rs: float) -> float:
 
 
 def db_to_linear(value_db: float) -> float:
-    """Power decibels to linear ratio, 10^(dB/10)."""
+    """Power decibels to linear ratio, 10^(dB/10); a ratio that overflows
+    float64 or underflows to 0 raises ConfigError."""
     value_db = float(value_db)
     if not math.isfinite(value_db):
         raise ConfigError(f"dB value must be finite, got {value_db!r}")
-    return 10.0 ** (value_db / 10.0)
+    try:
+        value = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"dB value {value_db!r} is outside the float64 range")
+    return value
 
 
 def linear_to_db(value: float) -> float:

@@ -8,6 +8,10 @@ the other hop alone (the unbalanced experiment).  Figure presets reproduce
 the published experiment parameterizations; presets whose curve families
 differ in quantities the CSV schema does not carry (relay count, eavesdropper
 level, pinned-hop level) expand to one labelled sweep per family member.
+
+A simulated sweep runs one `simulate_outage` call per (scheme, rate) curve:
+the curve's cells share uniforms and differ only in link rates, so their
+estimates are correlated along the curve while each keeps its distribution.
 """
 
 from __future__ import annotations
@@ -223,7 +227,8 @@ class SweepRow:
 
 
 def _cell_seed(seed: int, scheme_label: str, rate_index: int, grid_index: int) -> int:
-    """Stable per-cell substream seed so cells are individually reproducible."""
+    """Stable substream seed of one cell; run_sweep seeds each curve with
+    its first cell's (grid_index 0)."""
     import hashlib  # loads OpenSSL, which only simulated sweeps need
 
     text = f"{seed}:{scheme_label}:{rate_index}:{grid_index}".encode()
@@ -282,26 +287,31 @@ def _asymptote_columns(
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per scheme x rate x grid point.
 
-    Closed forms are always computed; simulation columns appear when
-    mc_trials > 0, each cell on its own derived substream; expansion columns
-    appear for schemes with a published high-SNR form.
+    Closed forms are always computed; expansion columns appear for schemes
+    with a published high-SNR form.  Simulation columns appear when
+    mc_trials > 0, from one simulate_outage call per (scheme, rate) curve,
+    seeded as the curve's first cell.
     """
     rows: list[SweepRow] = []
+    grid = spec.snr_grid_db
     for scheme in spec.schemes:
         for ri, rate in enumerate(spec.rates):
             split = spec.split_for_rate(ri)
-            for gi, grid_db in enumerate(spec.snr_grid_db):
-                cfg = _build_config(spec, rate, split, grid_db)
+            cfgs = (_build_config(spec, rate, split, grid_db) for grid_db in grid)
+            estimates = None
+            if spec.mc_trials > 0:
+                # The simulation takes the whole curve at once; without it each
+                # config is built as its cell comes up, so its build time stays
+                # in that cell's latency.
+                cfgs = list(cfgs)
+                estimates = simulate_outage(
+                    cfgs, scheme, spec.mc_trials, _cell_seed(spec.seed, scheme.label, ri, 0)
+                )
+            for gi, (grid_db, cfg) in enumerate(zip(grid, cfgs)):
                 closed = outage_for_scheme(cfg, scheme)
                 p_mc = mc_stderr = None
-                if spec.mc_trials > 0:
-                    est = simulate_outage(
-                        cfg,
-                        scheme,
-                        spec.mc_trials,
-                        _cell_seed(spec.seed, scheme.label, ri, gi),
-                    )
-                    p_mc, mc_stderr = est.p_hat, est.std_err
+                if estimates is not None:
+                    p_mc, mc_stderr = estimates[gi].p_hat, estimates[gi].std_err
                 p_asymp, floor = _asymptote_columns(spec, scheme, cfg, grid_db)
                 rows.append(
                     SweepRow(

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from relaysec import TS, RelayLinkParams, SystemConfig, closedform, outage_for_scheme
+from relaysec import (
+    ALL_SCHEMES,
+    TS,
+    RelayLinkParams,
+    SelectionScheme,
+    SweepSpec,
+    SystemConfig,
+    closedform,
+    outage_for_scheme,
+    run_sweep,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,3 +55,30 @@ def test_closed_form_hooks_fire_on_a_four_relay_cell(perfbench, monkeypatch):
                    for eve_db in workloads.eve_levels_db(4))
     outage_for_scheme(SystemConfig(relays, 0.5), TS)
     assert fired == targets
+
+
+def test_sweep_and_simulator_hooks_fire_on_a_simulated_sweep(perfbench, monkeypatch):
+    tracing, _ = perfbench
+    hooked = [(module, attr) for module, attr, _span in tracing.HOOKS
+              if module in ("relaysec.sweep", "relaysec.montecarlo")]
+    fired, mc_args = set(), []
+    for module, attr in hooked:
+        def counted(*args, _key=(module, attr),
+                    _original=getattr(importlib.import_module(module), attr), **kwargs):
+            fired.add(_key)
+            if _key == ("relaysec.sweep", "simulate_outage"):
+                mc_args.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module(module), attr, counted)
+    spec = SweepSpec(snr_grid_db=(0.0, 10.0), rates=(0.5,), schemes=ALL_SCHEMES,
+                     n_relays=2, eaves_snr_db=(0.0, 3.0), mc_trials=500, seed=1)
+    rows = run_sweep(spec)
+    assert hooked and set(hooked) == fired
+    assert all(row.p_mc is not None for row in rows)
+    # The tracer reads scheme.label and int(trials) from the positional
+    # arguments of every sweep.simulate_outage call.
+    assert mc_args
+    for args in mc_args:
+        assert isinstance(args[1], SelectionScheme)
+        assert type(args[2]) is int

@@ -436,3 +436,114 @@ class TestZeroRedraw:
             k = reference_pick(TS, cfg, real_t)
             rate = secrecy_rate(real_t.gamma_main[k - 1], real_t.gamma_eve[k - 1])
             assert bool(flags[t]) == (rate < cfg.rate_rs), t
+
+
+def _curve(n, points, rate_rs=0.8):
+    """Configs of one sweep-like curve: N relays whose hop SNRs climb together."""
+    return [
+        SystemConfig(
+            tuple(RelayLinkParams.from_mean_snr_db(db + k, db + 3.0 - k, 2.0 * k) for k in range(n)),
+            rate_rs=rate_rs,
+        )
+        for db in np.linspace(0.0, 30.0, points)
+    ]
+
+
+CURVE = _curve(3, 5)
+# One partial block in one chunk, one full block, several full blocks, and a
+# partial last block that ends in a partial chunk.
+CURVE_TRIALS = [
+    1_000,
+    montecarlo.BLOCK_SIZE,
+    3 * montecarlo.BLOCK_SIZE,
+    2 * montecarlo.BLOCK_SIZE + montecarlo._CHUNK + 5,
+]
+
+
+class TestConfigSequence:
+    """simulate_outage over a sequence of configs draws each block once, and
+    each config's estimate is the one a call with that config alone returns."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+    def workers(self, request, monkeypatch):
+        pool = ThreadPoolExecutor(request.param)
+        monkeypatch.setattr(montecarlo, "_pool", pool)
+        yield request.param
+        pool.shutdown()
+
+    @pytest.mark.parametrize("trials", CURVE_TRIALS)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_each_estimate_equals_its_single_config_call(self, workers, scheme, trials):
+        got = simulate_outage(CURVE, scheme, trials, 23)
+        assert isinstance(got, tuple) and len(got) == len(CURVE)
+        assert got == tuple(simulate_outage(cfg, scheme, trials, 23) for cfg in CURVE)
+
+    def test_a_sequence_of_one_returns_a_tuple_of_one(self):
+        assert simulate_outage((PIN_N4,), TS, 5_000, 3) == (simulate_outage(PIN_N4, TS, 5_000, 3),)
+
+    def test_each_block_is_drawn_once(self, monkeypatch):
+        made = []
+
+        def counted(*key):
+            made.append(key)
+            return block_generator(*key)
+
+        monkeypatch.setattr(montecarlo, "block_generator", counted)
+        simulate_outage(CURVE, OS, 3 * montecarlo.BLOCK_SIZE, 4)
+        assert sorted(made) == [(4, b) for b in range(3)]
+
+    @pytest.mark.parametrize(
+        "cfgs",
+        [[], (), _curve(2, 2) + _curve(3, 1), [PIN_N4, "not a config"], iter(CURVE)],
+        ids=["empty-list", "empty-tuple", "mixed-relay-counts", "not-a-config", "iterator"],
+    )
+    def test_rejects_a_bad_sequence(self, cfgs):
+        with pytest.raises(ConfigError):
+            simulate_outage(cfgs, TS, 1_000, 1)
+
+    @pytest.mark.parametrize("trials", [1000.5, "1000", 0])
+    def test_rejects_a_bad_trial_count(self, trials):
+        with pytest.raises(ConfigError):
+            simulate_outage(CURVE, TS, trials, 1)
+
+    def test_a_long_call_keeps_a_bounded_number_of_blocks_in_flight(self, monkeypatch):
+        trials = 11 * montecarlo.BLOCK_SIZE + 7
+        expected = simulate_outage(CURVE, OS, trials, 6)
+        in_flight, peak = set(), [0]
+
+        class Counted(Future):
+            def result(self, timeout=None):
+                in_flight.discard(self)
+                return super().result(timeout)
+
+        class InlinePool:
+            def submit(self, fn, *args):
+                future = Counted()
+                future.set_result(fn(*args))
+                in_flight.add(future)
+                peak[0] = max(peak[0], len(in_flight))
+                return future
+
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_executor", InlinePool)
+        assert simulate_outage(CURVE, OS, trials, 6) == expected
+        assert peak[0] == 4
+
+    def test_workspace_stays_at_four_block_doubles_per_relay(self, workers, monkeypatch):
+        # A 13-config curve must fit the single-config footprint: one block's
+        # ln(U) and one chunk's links and metric scratch, 4 * BLOCK_SIZE * N
+        # doubles in every thread that runs blocks.  The fresh pool's threads
+        # hold no buffer grown by an earlier test.
+        sizes, workspace = [], montecarlo._workspace
+
+        def recorded(size, n):
+            views = workspace(size, n)
+            sizes.append(montecarlo._local.buf.size)
+            return views
+
+        monkeypatch.setattr(montecarlo, "_workspace", recorded)
+        curve = _curve(4, 13)
+        trials = 2 * montecarlo.BLOCK_SIZE + 321
+        for scheme in ALL_SCHEMES:
+            simulate_outage(curve, scheme, trials, 8)
+        assert sizes and max(sizes) <= 4 * montecarlo.BLOCK_SIZE * 4

@@ -59,6 +59,17 @@ class TestDecibels:
         with pytest.raises(ConfigError):
             DecibelValue(math.nan)
 
+    @pytest.mark.parametrize("db", [3200.0, -3300.0], ids=["overflow", "underflow"])
+    def test_rejects_a_ratio_outside_float64(self, db):
+        with pytest.raises(ConfigError, match="outside the float64 range"):
+            db_to_linear(db)
+        with pytest.raises(ConfigError):
+            RelayLinkParams.from_mean_snr_db(db, 10.0, 0.0)
+
+    def test_extreme_but_representable_ratios_pass(self):
+        assert db_to_linear(3000.0) == pytest.approx(1e300, rel=1e-12)
+        assert db_to_linear(-3000.0) == pytest.approx(1e-300, rel=1e-12)
+
 
 class TestSplitTotalSnr:
     def test_known_values(self):

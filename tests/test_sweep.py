@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,11 @@ from relaysec import (
     single,
     single_relay_outage,
 )
-from relaysec import cli
+from relaysec import cli, sweep
 from relaysec.cli import main
-from relaysec.params import ConfigError
+from relaysec.params import ConfigError, parse_scheme
 from relaysec.subsets import EvaluationError
-from relaysec.sweep import CSV_HEADER, FixedHop, render_csv
+from relaysec.sweep import CSV_HEADER, FixedHop, _build_config, _cell_seed, render_csv
 
 
 def single_relay_spec(**overrides):
@@ -158,6 +159,71 @@ class TestRunSweep:
         assert os_row.floor is not None and os_row.p_asymp is None
         ts_row = rows[("TS", 50.0)]
         assert ts_row.floor is None and ts_row.p_asymp is None
+
+
+class TestCurveSimulation:
+    """A simulated sweep runs one simulation per (scheme, rate) curve, seeded
+    as the curve's first cell, on uniforms shared by all its cells."""
+
+    spec = SweepSpec(
+        snr_grid_db=(0.0, 10.0, 20.0),
+        rates=(0.5, 1.0),
+        schemes=ALL_SCHEMES[:2],
+        n_relays=2,
+        power_split_sr=(0.3, 0.7),
+        eaves_snr_db=(0.0, 3.0),
+        mc_trials=700,
+        seed=11,
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made, original = [], sweep.simulate_outage
+
+        def recorded(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sweep, "simulate_outage", recorded)
+        return made
+
+    def test_one_simulation_per_curve(self, calls):
+        rows = run_sweep(self.spec)
+        curves = [(s.label, ri) for s in self.spec.schemes for ri in range(len(self.spec.rates))]
+        assert len(calls) == len(curves)
+        for (cfgs, scheme, trials, seed), (label, ri) in zip(calls, curves):
+            assert scheme.label == label and trials == 700
+            assert seed == _cell_seed(11, label, ri, 0)
+            assert len(cfgs) == len(self.spec.snr_grid_db)
+        assert len(rows) == len(curves) * len(self.spec.snr_grid_db)
+
+    def test_no_simulation_without_trials(self, calls):
+        rows = run_sweep(replace(self.spec, mc_trials=0))
+        assert calls == [] and all(r.p_mc is None for r in rows)
+
+    def test_cells_match_single_config_calls_at_the_first_cell_seed(self):
+        # The seed of each curve's first cell is the one that cell had on its
+        # own, so the first cells keep their values.
+        for k, row in enumerate(run_sweep(self.spec)):
+            ri = self.spec.rates.index(row.rate_rs)
+            cfg = _build_config(self.spec, row.rate_rs, self.spec.split_for_rate(ri), row.snr_db)
+            est = simulate_outage(cfg, parse_scheme(row.scheme), 700, _cell_seed(11, row.scheme, ri, 0))
+            assert (row.p_mc, row.mc_stderr) == (est.p_hat, est.std_err), k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fig5_simulated_curves_never_rise_with_snr(self, seed):
+        # fig5 is balanced: every relay's hops scale together, so a trial's
+        # chosen relay stays put along a curve and, on shared uniforms, its
+        # outage can only clear as the SNR grows.  With a pinned hop the
+        # chosen relay can move and a curve may rise.
+        (_, spec), = figure_preset("fig5")
+        rows = run_sweep(replace(spec, mc_trials=4000, seed=seed))
+        curves = {}
+        for row in rows:
+            curves.setdefault((row.scheme, row.rate_rs), []).append((row.snr_db, row.p_mc))
+        for key, points in curves.items():
+            p_mc = [p for _, p in sorted(points)]
+            assert all(b <= a for a, b in zip(p_mc, p_mc[1:])), (key, p_mc)
 
 
 class TestFigurePresets:
@@ -495,6 +561,15 @@ class TestCli:
         path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
         assert main(["outage", "--config", str(path)]) == 3
         assert "numerical failure: SS-RE: selection-metric rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sr_db", [3200.0, -3300.0], ids=["overflow", "underflow"])
+    def test_decibels_outside_float64_exit_2(self, tmp_path, capsys, sr_db):
+        # 10^(dB/10) overflows float64 at 3200 dB and underflows to 0 at -3300 dB.
+        relays = [{"sr_snr_db": sr_db, "rd_snr_db": 10.0, "eve_snr_db": 0.0}]
+        path = tmp_path / "extreme_db.json"
+        path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
+        assert main(["outage", "--config", str(path)]) == 2
+        assert "outside the float64 range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
