@@ -6,9 +6,10 @@ an outage when the selected relay's instantaneous secrecy rate falls strictly
 below the target.
 
 Sampling and selection exist once, on the vectorised block path; the scalar
-helpers are size-1 views of it.  `sample_realization` draws a one-trial block
-in the same stream order, and `apply_selection` runs the block rule on a
-one-row realization, so it picks exactly what the simulator picks.
+helpers are size-1 views of it.  `sample_realization` draws a one-trial chunk
+in the same stream order, and `apply_selection` runs the block rule's
+first-maximum on a one-row metric, so it picks exactly what the simulator
+picks.
 
 Determinism contract: trials are partitioned into fixed-size blocks; block b
 draws from a counter-based substream keyed by (seed, b), and block counts are
@@ -21,10 +22,22 @@ reused workspace, and no returned array aliases one.
 
 Only the link rates turn ln(U) into link SNRs, so `simulate_outage` also takes
 a sequence of configs with one relay count, such as the cells of a sweep
-curve: each block's ln(U) is drawn once and every config divides it by its
-own rates, a chunk of rows at a time.  Config i's estimate is bit-identical
+curve, and scores them all on one draw: config i's estimate is bit-identical
 to a call with that config alone; the estimates share their uniforms, so
 they are correlated while each one's distribution is unchanged.
+
+A block is drawn and scored a chunk of trials at a time.  Each chunk's
+uniforms come straight from the block's generator, so successive chunks hold
+exactly the values of one whole-block draw, and an exact 0.0 is redrawn, in
+C order, from the stream after the block's last uniform, as a whole-block
+draw would redraw it.  Every config of the call is scored on the chunk at
+once: the link SNRs the scheme compares are laid out (config, relay, trial),
+the selected relay is the first maximum over the relay axis, and only its
+links are turned into SNRs for the outage test.  The rows per chunk are
+chosen so that a thread's workspace (the chunk's ln(U), two link planes per
+config and the per-trial scratch) holds at most 4 * BLOCK_SIZE * N doubles;
+when a single trial's row for every config would not fit, the configs are
+scored in groups.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,14 +67,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
-# Rows of a block turned into link SNRs at a time: the block's ln(U) and one
-# chunk's links and metric scratch fill 4 * BLOCK_SIZE * n doubles.
-_CHUNK = BLOCK_SIZE // 4
-# Row indices of a chunk, made once: a fresh arange per block in every pool
-# thread cost fig5 about 0.6 MB of peak RSS.
-_ROWS = np.arange(_CHUNK)
+# A thread's chunk workspace holds at most this many doubles per relay.
+_WORKSPACE = 4 * BLOCK_SIZE
 
-# Per-thread block workspace, and the pool that runs a call's blocks.  Tests
+# Per-thread chunk workspace, and the pool that runs a call's blocks.  Tests
 # replace _pool to fix the worker count.
 _local = threading.local()
 _pool = None
@@ -111,48 +120,63 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + block_index))
 
 
-def _workspace(size: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's (size, n, 3) ln(U) block, and a chunk's (c, n, 3) link
-    buffer and (c, n) metric scratch for c = min(size, _CHUNK): views of one
-    flat buffer that grows to the largest block it has held, at most
-    4 * BLOCK_SIZE * n doubles."""
-    chunk = min(size, _CHUNK)
-    logu, links, need = 3 * size * n, 3 * chunk * n, (3 * size + 4 * chunk) * n
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < need:
-        buf = _local.buf = np.empty(need)
-    return (
-        buf[:logu].reshape(size, n, 3),
-        buf[logu : logu + links].reshape(chunk, n, 3),
-        buf[logu + links : need].reshape(chunk, n),
-    )
+def _redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> None:
+    """Replace every exact-zero uniform of u, in C order, with the next ones
+    from `rng`, until none is left, so ln(U) stays finite."""
+    while not u.all():
+        zero = u == 0.0
+        u[zero] = rng.random(int(zero.sum()))
 
 
-def _draw(
-    rng: np.random.Generator, size: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ln(U) of `size` trials, (size, n, 3) in (sr, rd, eve) order, from 3
-    uniforms per relay taken in trial, relay, link order, plus the chunk
-    buffers.  All three are this thread's workspace; exact-zero uniforms are
-    redrawn from `rng` so ln(U) stays finite."""
-    logu, links, scratch = _workspace(size, n)
-    rng.random(out=logu)
-    while not logu.all():
-        zero = logu == 0.0
-        logu[zero] = rng.random(int(zero.sum()))
-    np.log(logu, out=logu)
-    return logu, links, scratch
+def _chunks(
+    rng: np.random.Generator, buf: np.ndarray, size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Uniforms of a block's `size` trials as (first trial, (r, n, 3) array),
+    len(buf) rows at a time, drawn into buf: 3 per relay in trial, relay,
+    link order, so the chunks hold exactly the values of one (size, n, 3)
+    draw.  Exact zeros are redrawn from the stream after the block's last
+    uniform, so ln(U) stays finite: a zero before the last chunk draws the
+    rest of the block into a temporary array first, and that array is
+    yielded instead."""
+    rows = len(buf)
+    for lo in range(0, size, rows):
+        u = buf[: min(rows, size - lo)]
+        rng.random(out=u)
+        if not u.all():
+            if lo + len(u) < size:
+                rest = np.empty((size - lo,) + u.shape[1:])
+                rest[: len(u)] = u
+                rng.random(out=rest[len(u) :])
+                _redraw_zeros(rng, rest)
+                for first in range(0, len(rest), rows):
+                    yield lo + first, rest[first : first + rows]
+                return
+            _redraw_zeros(rng, u)
+        yield lo, u
 
 
-def _neg_rates(cfg: SystemConfig) -> np.ndarray:
-    """-rate of every link, (n, 3): ln(U) / -rate is -ln(U) / rate to the bit."""
-    return -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
+def _neg_rates(cfgs: Sequence[SystemConfig]) -> np.ndarray:
+    """-rate of every link, link-major (3, configs, n): ln(U) / -rate is
+    -ln(U) / rate to the bit."""
+    links = [[[r.sr_rate, r.rd_rate, r.eve_rate] for r in c.relays] for c in cfgs]
+    return -np.array(links, dtype=np.float64).transpose(2, 0, 1).copy()
+
+
+def _fixed_picks(scheme: SelectionScheme, cfgs: Sequence[SystemConfig]) -> np.ndarray | None:
+    """0-based relay of each config for the rules that ignore the fading;
+    None for the rules that compare it."""
+    if scheme.kind == "SINGLE":
+        return np.full(len(cfgs), scheme.relay - 1, dtype=np.intp)
+    if scheme.kind == "PS":
+        return np.array([select_ps(c) - 1 for c in cfgs], dtype=np.intp)
+    return None
 
 
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization, a one-trial block; consumes 3 uniforms
+    """Draw one channel realization, a one-trial chunk; consumes 3 uniforms
     per relay, so successive calls walk the stream a block would draw."""
-    g = _draw(rng, 1, cfg.n_relays)[0][0] / _neg_rates(cfg)
+    _, u = next(_chunks(rng, np.empty((1, cfg.n_relays, 3)), 1))
+    g = np.log(u[0]) / _neg_rates((cfg,))[:, 0].T
     return ChannelRealization(
         gamma_sr=tuple(g[:, 0]), gamma_rd=tuple(g[:, 1]), gamma_eve=tuple(g[:, 2])
     )
@@ -173,73 +197,221 @@ def apply_selection(
 ) -> int:
     """1-based index of the relay the scheme picks; ties break to the lowest.
 
-    Runs the simulator's block rule on a one-row realization.
+    Runs the simulator's metric and first-maximum on a one-trial, one-config
+    block, the realization read as ln(U) over unit negated rates.
     """
     scheme.validate_for(cfg)
     if realization.n_relays != cfg.n_relays:
         raise ConfigError("realization arity does not match the config")
-    r = realization
-    g = np.array([list(zip(r.gamma_sr, r.gamma_rd, r.gamma_eve))], dtype=np.float64)
-    g[:, :, 2] += 1.0
-    return int(np.atleast_1d(_select(scheme, cfg, g, np.empty(g.shape[:2])))[0]) + 1
+    picks = _fixed_picks(scheme, (cfg,))
+    if picks is not None:
+        return int(picks[0]) + 1
+    r, n = realization, cfg.n_relays
+    links = np.array([r.gamma_sr, r.gamma_rd, r.gamma_eve], dtype=np.float64)[:, :, None]
+    planes = np.empty((2, 1, n, 1))
+    eve_rates = -_neg_rates((cfg,))[2, :, :, None]
+    metric = _metric(scheme, links, np.ones((3, 1, n)), eve_rates, *planes)
+    top, bools = np.empty((1, 1)), np.empty((2, 1, 1), dtype=bool)
+    return int(_first_max(metric, top, np.empty((1, 1), np.intp), *bools)[0, 0]) + 1
 
 
-def _select(
-    scheme: SelectionScheme, cfg: SystemConfig, g: np.ndarray, scratch: np.ndarray
-) -> int | np.ndarray:
-    """0-based selected relay per trial, on links whose eavesdropper column
-    holds 1 + gamma_eve; a plain int for the rules that ignore the fading.
-    np.argmax keeps the lowest tie."""
-    if scheme.kind in ("SINGLE", "PS"):
-        return (scheme.relay if scheme.kind == "SINGLE" else select_ps(cfg)) - 1
-    if scheme.kind == "SS-RD":
-        return np.argmax(g[:, :, 1], axis=1)
-    if scheme.kind == "SS-SR":
-        return np.argmax(g[:, :, 0], axis=1)
-    metric = np.minimum(g[:, :, 0], g[:, :, 1], out=scratch)
-    if scheme.kind == "OS":
+def _link(links: np.ndarray, neg_rates: np.ndarray, link: int, out: np.ndarray) -> np.ndarray:
+    """One link's SNR on every relay, (configs, n, r), from a chunk's ln(U)
+    laid out (3, n, r) and the configs' negated rates (3, configs, n)."""
+    return np.divide(links[link], neg_rates[link, :, :, None], out=out)
+
+
+def _metric(
+    scheme: SelectionScheme,
+    links: np.ndarray,
+    neg_rates: np.ndarray,
+    eve_rates: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """The quantity the scheme maximises over relays, (configs, n, r), in a
+    or b; only the link planes it compares are divided."""
+    kind = scheme.kind
+    if kind in ("SS-RD", "SS-SR"):
+        return _link(links, neg_rates, 1 if kind == "SS-RD" else 0, a)
+    metric = np.minimum(_link(links, neg_rates, 0, a), _link(links, neg_rates, 1, b), out=a)
+    if kind == "OS":
         # (1 + main) / (1 + eve), clipped at 1 as the secrecy rate clips at
         # zero: every zero-rate branch ties, so the lowest index wins among them.
         metric += 1.0
-        metric /= g[:, :, 2]
+        eve = _link(links, neg_rates, 2, b)
+        eve += 1.0
+        metric /= eve
         np.maximum(metric, 1.0, out=metric)
-    elif scheme.kind == "SS-RE":
-        metric *= np.array([r.eve_rate for r in cfg.relays])
-    return np.argmax(metric, axis=1)
+    elif kind == "SS-RE":
+        metric *= eve_rates
+    return metric
+
+
+def _first_max(
+    metric: np.ndarray, top: np.ndarray, idx: np.ndarray, run: np.ndarray, ne: np.ndarray
+) -> np.ndarray:
+    """np.argmax(metric, axis=1) into idx, by whole-array passes, with each
+    row's maximum in top: idx counts the leading relays below the maximum,
+    so the lowest index wins among equal maxima, and a row that holds a NaN
+    gets its first NaN."""
+    n = metric.shape[1]
+    np.max(metric, axis=1, out=top)
+    np.not_equal(metric[:, 0], top, out=run)
+    np.copyto(idx, run)
+    for j in range(1, n - 1):
+        run &= np.not_equal(metric[:, j], top, out=ne)
+        idx += run
+    # A NaN maximum equals no relay, so those rows look up their first NaN.
+    if np.isnan(top, out=ne).any():
+        idx[ne] = np.argmax(np.isnan(metric.transpose(0, 2, 1)[ne]), axis=1)
+    return idx
+
+
+class _Curve:
+    """What every block of one call reads: the configs' rates, the fixed
+    picks, and the chunk layout."""
+
+    __slots__ = ("scheme", "n", "k", "neg_rates", "eve_rates", "rho", "picks",
+                 "picked_rates", "rows", "group", "trial_offsets", "config_offsets")
+
+    def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], trials: int):
+        self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
+        self.neg_rates = _neg_rates(cfgs)
+        # SS-RE's per-relay weight, (configs, n, 1).
+        self.eve_rates = -self.neg_rates[2, :, :, None]
+        self.rho = np.array([[c.rho] for c in cfgs], dtype=np.float64)
+        self.picks = _fixed_picks(scheme, cfgs)
+        if self.picks is not None:
+            # (3, configs, 1): each config's negated rates at its fixed pick.
+            self.picked_rates = self.neg_rates[:, np.arange(self.k), self.picks, None]
+        self.rows, self.group = _layout(min(trials, BLOCK_SIZE), self.n, self.k)
+        # Flat offsets of a chunk's trials in one link's (n, rows) ln(U), and
+        # of the configs in one link's (configs, n) rates.
+        self.trial_offsets = np.arange(self.rows, dtype=np.intp)
+        self.config_offsets = np.arange(self.k, dtype=np.intp)[:, None] * self.n
+
+
+def _layout(size: int, n: int, k: int) -> tuple[int, int]:
+    """(rows per chunk, configs per group) for blocks of up to `size` trials
+    and k configs of n relays.  Counted in eighths of a double, one trial's
+    row takes 48n for its uniforms and their ln(U) link-major, and 16n + 43
+    per config: two link planes (16n), five per-trial scratch arrays, the
+    index arrays among them (40), and three bool arrays (3).  All k configs
+    share a chunk while one row of them fits the workspace; beyond that, the
+    largest group that fits does."""
+    budget = 8 * _WORKSPACE * n
+    per_config = 16 * n + 43
+    group = min(k, (budget - 48 * n) // per_config)
+    return min(size, budget // (48 * n + group * per_config)), group
+
+
+class _Views(NamedTuple):
+    u: np.ndarray  # (rows, n, 3), the chunk's uniforms as drawn
+    links: np.ndarray  # (3, n, rows), their ln(U) link-major
+    a: np.ndarray  # (group, n, rows) link planes
+    b: np.ndarray
+    top: np.ndarray  # (group, rows) each from here on
+    x: np.ndarray
+    tmp: np.ndarray
+    idx: np.ndarray
+    pos: np.ndarray
+    run: np.ndarray
+    ne: np.ndarray
+    flags: np.ndarray
+
+
+def _workspace(rows: int, n: int, group: int) -> _Views:
+    """This thread's chunk buffers for `rows` trials of `group` configs of n
+    relays: views of one flat buffer that grows to the largest need it has
+    met, at most _WORKSPACE * n doubles."""
+    plane, per = group * n * rows, group * rows
+    ends = np.cumsum([3 * n * rows, 3 * n * rows, plane, plane] + [per] * 5)
+    need = int(ends[-1]) + -(-3 * per // 8)
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < need:
+        buf = _local.buf = np.empty(need)
+    u, links, a, b, top, x, tmp, idx, pos, bools = np.split(buf[:need], ends)
+    bools = bools.view(np.bool_)[: 3 * per].reshape(3, group, rows)
+    return _Views(
+        u.reshape(rows, n, 3),
+        links.reshape(3, n, rows),
+        a.reshape(group, n, rows),
+        b.reshape(group, n, rows),
+        *(v.reshape(group, rows) for v in (top, x, tmp)),
+        *(v.view(np.intp)[:per].reshape(group, rows) for v in (idx, pos)),
+        *bools,
+    )
+
+
+def _score(
+    curve: _Curve, r: int, lo: int, hi: int, ws: _Views, flags: np.ndarray
+) -> np.ndarray:
+    """Outage flags of configs lo:hi on the chunk's first r trials in
+    ws.links, written to flags (hi - lo, r)."""
+    g, scheme, links = hi - lo, curve.scheme, ws.links[:, :, :r]
+    top, x, tmp = (v[:g, :r] for v in (ws.top, ws.x, ws.tmp))
+    if curve.picks is None:
+        idx, pos = ws.idx[:g, :r], ws.pos[:g, :r]
+        metric = _metric(
+            scheme, links, curve.neg_rates[:, lo:hi], curve.eve_rates[lo:hi],
+            ws.a[:g, :, :r], ws.b[:g, :, :r],
+        )
+        _first_max(metric, top, idx, ws.run[:g, :r], ws.ne[:g, :r])
+        # Flat positions of the chosen relay in one link's ln(U) and rates.
+        np.multiply(idx, ws.links.shape[2], out=pos)
+        pos += curve.trial_offsets[:r]
+        idx += curve.config_offsets[lo:hi]
+        flat_links, flat_rates = ws.links.reshape(3, -1), curve.neg_rates.reshape(3, -1)
+
+        def chosen(link: int, out: np.ndarray) -> np.ndarray:
+            """The chosen relay's SNR on one link, (g, r), in out."""
+            np.take(flat_links[link], pos, out=out, mode="wrap")
+            np.take(flat_rates[link], idx, out=tmp, mode="wrap")
+            return np.divide(out, tmp, out=out)
+
+    else:
+        picks, picked_rates = curve.picks[lo:hi], curve.picked_rates[:, lo:hi]
+
+        def chosen(link: int, out: np.ndarray) -> np.ndarray:
+            """The picked relay's SNR on one link, (g, r), in out."""
+            np.take(links[link], picks, axis=0, out=out, mode="wrap")
+            return np.divide(out, picked_rates[link], out=out)
+
+    # TS's maximum is the chosen main SNR, and SS-RD/SS-SR's is one hop of it.
+    if scheme.kind == "TS":
+        main = top
+    elif scheme.kind == "SS-RD":
+        main = np.minimum(chosen(0, x), top, out=top)
+    elif scheme.kind == "SS-SR":
+        main = np.minimum(top, chosen(1, x), out=top)
+    else:
+        main = np.minimum(chosen(0, x), chosen(1, top), out=x)
+    main += 1.0
+    eve = chosen(2, x if main is top else top)
+    eve += 1.0
+    eve *= curve.rho[lo:hi]
+    # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
+    # comparison stays correct when the secrecy rate clips to zero.
+    return np.less(main, eve, out=flags)
 
 
 def _block_outages(
-    scheme: SelectionScheme,
-    cfgs: tuple[SystemConfig, ...],
-    neg_rates: list[np.ndarray],
-    seed: int,
-    block_index: int,
-    outs: list[np.ndarray],
+    curve: _Curve, seed: int, block_index: int, size: int, out: np.ndarray | None
 ) -> np.ndarray:
-    """Outage flags of block `block_index`'s trials under each config, from
-    one draw of len(outs[0]) trials; config i's flags are written to outs[i]
-    and its count is entry i of the result."""
-    size, n = len(outs[0]), cfgs[0].n_relays
-    logu, links, scratch = _draw(block_generator(seed, block_index), size, n)
-    counts = np.zeros(len(cfgs), dtype=np.int64)
-    # Each trial's first relay among a chunk's links viewed as (c * n, 3).
-    first_relay = _ROWS[: len(links)] * n
-    # Chunk-major, so a chunk of ln(U) stays in cache while every config reads it.
-    for lo in range(0, size, len(links)):
-        hi = min(lo + len(links), size)
-        for i, (cfg, rates, out) in enumerate(zip(cfgs, neg_rates, outs)):
-            g = np.divide(logu[lo:hi], rates, out=links[: hi - lo])
-            g[:, :, 2] += 1.0
-            idx = _select(scheme, cfg, g, scratch[: hi - lo])
-            # The chosen relay's three links; take is a faster g[rows, idx].
-            chosen = g.reshape(-1, 3).take(first_relay[: hi - lo] + idx, axis=0)
-            main = np.minimum(chosen[:, 0], chosen[:, 1], out=chosen[:, 0])
-            main += 1.0
-            chosen[:, 2] *= cfg.rho
-            # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
-            # comparison stays correct when the secrecy rate clips to zero.
-            flags = np.less(main, chosen[:, 2], out=out[lo:hi])
-            counts[i] += np.count_nonzero(flags)
+    """Each config's outage count over block `block_index`'s `size` trials,
+    drawn and scored a chunk at a time; with `out`, the one config's flags
+    are also written there."""
+    ws = _workspace(min(curve.rows, size), curve.n, curve.group)
+    counts = np.zeros(curve.k, dtype=np.int64)
+    for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
+        r = len(u)
+        # In place first: a transposing log would read u without SIMD.
+        np.copyto(ws.links[:, :, :r], np.log(u, out=u).transpose(2, 1, 0))
+        for lo in range(0, curve.k, curve.group):
+            hi = min(lo + curve.group, curve.k)
+            dest = ws.flags[: hi - lo, :r] if out is None else out[None, first : first + r]
+            counts[lo:hi] += np.count_nonzero(_score(curve, r, lo, hi, ws, dest), axis=1)
     return counts
 
 
@@ -301,14 +473,11 @@ def _run_blocks(
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
-    neg_rates = [_neg_rates(cfg) for cfg in cfgs]
+    curve = _Curve(scheme, cfgs, trials)
 
     def block(b: int) -> np.ndarray:
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, trials)
-        # Without kept flags the configs take turns in one array, each
-        # counted before the next one writes.
-        outs = [np.empty(hi - lo, dtype=bool)] * len(cfgs) if flags is None else [flags[lo:hi]]
-        return _block_outages(scheme, cfgs, neg_rates, seed, b, outs)
+        return _block_outages(curve, seed, b, hi - lo, None if flags is None else flags[lo:hi])
 
     n_blocks = -(-trials // BLOCK_SIZE)
     if n_blocks == 1:

@@ -220,6 +220,61 @@ class TestSelectionReference:
                     assert apply_selection(scheme, cfg, real) == expected, (scheme.label, real)
         assert zero_rate_ties > 0
 
+    def test_inf_over_inf_os_metrics_pick_the_first_nan(self):
+        # Link rates of 1e-308 overflow about one SNR in six to inf, so some
+        # relays' OS metric is inf/inf = NaN; np.argmax picks the first NaN,
+        # whose outage test (1 + inf) < rho * (1 + inf) is False.
+        cfg = SystemConfig(tuple(RelayLinkParams(1e-308, 1e-308, 1e-308) for _ in range(3)), 0.5)
+        trials, seed = 4_000, 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            flags = outage_flags(cfg, OS, trials, seed)
+            g = np.log(block_generator(seed, 0).random((trials, 3, 3))) / -1e-308
+            assert hashlib.sha256(flags.tobytes()).hexdigest() == _OS_INF_FLAGS
+            nan_picks = 0
+            for t in range(trials):
+                sr, rd, eve = (g[t, :, link].tolist() for link in range(3))
+                main = [min(s, d) for s, d in zip(sr, rd)]
+                metric = [max((1.0 + m) / (1.0 + e), 1.0) for m, e in zip(main, eve)]
+                nans = [k for k, v in enumerate(metric) if v != v]
+                k = nans[0] if nans else metric.index(max(metric))
+                nan_picks += bool(nans)
+                if all(math.isfinite(v) for v in sr + rd + eve):
+                    assert k + 1 == reference_pick(OS, cfg, make_real(sr, rd, eve)), t
+                assert bool(flags[t]) == ((1.0 + main[k]) < (1.0 + eve[k]) * cfg.rho), t
+        assert nan_picks > 0
+
+
+# sha256 of outage_flags(1e-308-rate OS config, OS, 4_000, 3), recorded with
+# np.argmax selection.
+_OS_INF_FLAGS = "ae1dde6f2a3a9165675819fe251fb2ca736e72ea53e4c9922954892d47300437"
+
+
+class TestFirstMax:
+    """The simulator's whole-array first maximum is np.argmax over the relay
+    axis: the lowest index among ties, and the first NaN of a row with one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 32])
+    @pytest.mark.parametrize("values", ["ties", "infinities", "nans", "continuous"])
+    def test_matches_argmax(self, n, values):
+        rng = np.random.default_rng(n)
+        shape = (3, n, 2_000)
+        pools = {
+            "ties": [-1.0, -0.0, 0.0, 1.0, 2.0],
+            "infinities": [-np.inf, -1.0, 0.0, 1.0, np.inf],
+            "nans": [-np.inf, 0.0, 1.0, np.inf, np.nan],
+        }
+        metric = (
+            rng.standard_normal(shape) if values == "continuous" else rng.choice(pools[values], shape)
+        )
+        if values == "nans":
+            metric[:, :, :5] = np.nan  # whole rows of NaN
+        top, idx = np.empty((3, 2_000)), np.empty((3, 2_000), dtype=np.intp)
+        bools = np.empty((2, 3, 2_000), dtype=bool)
+        got = montecarlo._first_max(metric, top, idx, *bools)
+        assert got is idx
+        assert np.array_equal(idx, np.argmax(metric, axis=1))
+        assert np.array_equal(top, np.max(metric, axis=1), equal_nan=True)
+
 
 class TestPathwiseDominance:
     def test_best_secrecy_selection_never_loses_on_a_shared_realization(self):
@@ -438,6 +493,69 @@ class TestZeroRedraw:
             assert bool(flags[t]) == (rate < cfg.rate_rs), t
 
 
+class ZeroAtTrial:
+    """A block's own Philox stream with an exact 0.0 planted at uniform
+    (trial, relay, link) of the block, in whichever fill draws that trial;
+    records every draw request."""
+
+    def __init__(self, pos, *key):
+        self.gen, self.pos = block_generator(*key), pos
+        self.requests, self.drawn = [], 0
+
+    def random(self, size=None, out=None):
+        self.requests.append("fill" if out is not None else size)
+        values = self.gen.random(size, out=out)
+        if out is not None:
+            t = self.pos[0] - self.drawn
+            if 0 <= t < len(out):
+                out[(t,) + self.pos[1:]] = 0.0
+            self.drawn += len(out)
+        return values
+
+
+def _ts_flags_after_redraw(cfg, trials, seed, pos):
+    """TS outage flags of block 0 from a whole-block draw whose uniform at
+    pos is 0.0, redrawn from the stream after the block, with np.argmax
+    selection."""
+    replay = block_generator(seed, 0)
+    u = replay.random((trials, cfg.n_relays, 3))
+    u[pos] = replay.random(1)[0]
+    g = np.log(u) / -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
+    main = np.minimum(g[:, :, 0], g[:, :, 1])
+    k, rows = np.argmax(main, axis=1), np.arange(trials)
+    return (main[rows, k] + 1.0) < (g[rows, k, 2] + 1.0) * cfg.rho
+
+
+class TestChunkedZeroRedraw:
+    """A zero anywhere in a multi-chunk block is redrawn as a whole-block
+    draw would redraw it: from the stream after the block's last uniform."""
+
+    @pytest.mark.parametrize("trial", [100, montecarlo.BLOCK_SIZE - 1], ids=["first-chunk", "last-chunk"])
+    @pytest.mark.parametrize("points", [1, 13], ids=["one-config", "13-config-curve"])
+    def test_matches_a_whole_block_replay(self, monkeypatch, trial, points):
+        curve, trials, seed, pos = _curve(2, points), montecarlo.BLOCK_SIZE, 5, (trial, 1, 0)
+        stubs = []
+
+        def stub_generator(*key):
+            stubs.append(ZeroAtTrial(pos, *key))
+            return stubs[-1]
+
+        monkeypatch.setattr(montecarlo, "block_generator", stub_generator)
+        got = simulate_outage(curve, TS, trials, seed)
+        flags = outage_flags(curve[0], TS, trials, seed)
+        monkeypatch.undo()
+
+        rows = montecarlo._layout(trials, 2, points)[0]
+        chunks, chunk = -(-trials // rows), trial // rows
+        assert chunks > 1
+        # A zero before the last chunk draws the rest of the block at once.
+        expected = ["fill"] * (chunk + 1) + (["fill", 1] if chunk < chunks - 1 else [1])
+        assert stubs[0].requests == expected
+        for cfg, est in zip(curve, got):
+            assert est.p_hat == np.count_nonzero(_ts_flags_after_redraw(cfg, trials, seed, pos)) / trials
+        assert np.array_equal(flags, _ts_flags_after_redraw(curve[0], trials, seed, pos))
+
+
 def _curve(n, points, rate_rs=0.8):
     """Configs of one sweep-like curve: N relays whose hop SNRs climb together."""
     return [
@@ -451,12 +569,13 @@ def _curve(n, points, rate_rs=0.8):
 
 CURVE = _curve(3, 5)
 # One partial block in one chunk, one full block, several full blocks, and a
-# partial last block that ends in a partial chunk.
+# partial last block that ends in a partial chunk (CURVE scores 2,625 rows
+# per chunk).
 CURVE_TRIALS = [
     1_000,
     montecarlo.BLOCK_SIZE,
     3 * montecarlo.BLOCK_SIZE,
-    2 * montecarlo.BLOCK_SIZE + montecarlo._CHUNK + 5,
+    2 * montecarlo.BLOCK_SIZE + 4_101,
 ]
 
 
@@ -536,8 +655,8 @@ class TestConfigSequence:
         # hold no buffer grown by an earlier test.
         sizes, workspace = [], montecarlo._workspace
 
-        def recorded(size, n):
-            views = workspace(size, n)
+        def recorded(*shape):
+            views = workspace(*shape)
             sizes.append(montecarlo._local.buf.size)
             return views
 
@@ -547,3 +666,32 @@ class TestConfigSequence:
         for scheme in ALL_SCHEMES:
             simulate_outage(curve, scheme, trials, 8)
         assert sizes and max(sizes) <= 4 * montecarlo.BLOCK_SIZE * 4
+
+    @pytest.mark.parametrize(
+        "n, points, trials",
+        [(4, 2_000, 1_000), (32, 64, montecarlo.BLOCK_SIZE + 100), (1, 9_000, 300)],
+        ids=["N4-2000-configs", "N32-64-configs", "N1-9000-configs-in-groups"],
+    )
+    def test_large_curves_stay_within_the_workspace(self, workers, monkeypatch, n, points, trials):
+        # Every thread, the caller's among them, starts without a buffer.
+        monkeypatch.setattr(montecarlo, "_local", threading.local())
+        sizes, workspace = [], montecarlo._workspace
+
+        def recorded(*shape):
+            views = workspace(*shape)
+            sizes.append(montecarlo._local.buf.size)
+            return views
+
+        monkeypatch.setattr(montecarlo, "_workspace", recorded)
+        curve = _curve(n, points)
+        got = simulate_outage(curve, OS, trials, 12)
+        assert sizes and max(sizes) <= 4 * montecarlo.BLOCK_SIZE * n
+        sample = {0, 1, points // 2, points - 1} | set(np.random.default_rng(n).integers(0, points, 3).tolist())
+        for i in sorted(sample):
+            assert got[i] == simulate_outage(curve[i], OS, trials, 12), i
+
+    def test_configs_are_grouped_only_when_a_row_does_not_fit(self):
+        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 1, 9_000)
+        assert group < 9_000 and rows >= 1
+        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 2_000)[1] == 2_000
+        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 32, 64)[1] == 64
