@@ -21,10 +21,12 @@ thread pool capped at the available cores; each thread computes in its own
 reused workspace, and no returned array aliases one.
 
 Only the link rates turn ln(U) into link SNRs, so `simulate_outage` also takes
-a sequence of configs with one relay count, such as the cells of a sweep
-curve, and scores them all on one draw: config i's estimate is bit-identical
-to a call with that config alone; the estimates share their uniforms, so
-they are correlated while each one's distribution is unchanged.
+a sequence of configs with one relay count, such as every cell of one
+scheme's sweep, and scores them all on one draw: config i's estimate is
+bit-identical to a call with that config alone; the estimates share their
+uniforms, so they are correlated while each one's distribution is unchanged.
+A link rate below 53 ln 2 / DBL_MAX raises ConfigError: there ln(U) / -rate
+overflows for the smallest nonzero uniform, 2^-53.
 
 A block is drawn and scored a chunk of trials at a time.  Each chunk's
 uniforms come straight from the block's generator, so successive chunks hold
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -67,6 +70,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
+# The smallest link rate simulated: ln(2^-53) / -rate, the largest SNR a
+# uniform can give, overflows one ulp below it.
+_MIN_LINK_RATE = 53 * math.log(2.0) / sys.float_info.max
 # A thread's chunk workspace holds at most this many doubles per relay.
 _WORKSPACE = 4 * BLOCK_SIZE
 
@@ -186,8 +192,11 @@ def secrecy_rate(gamma_main: float, gamma_eve: float) -> float:
     """Instantaneous secrecy rate of one branch, clipped at zero.
 
     Half of log2((1 + main SNR) / (1 + eavesdropper SNR)); the half reflects
-    the two-slot dual-hop transmission.
+    the two-slot dual-hop transmission.  Both SNRs must be finite and >= 0.
     """
+    for v in (gamma_main, gamma_eve):
+        if not math.isfinite(v) or v < 0.0:
+            raise ConfigError(f"SNR values must be finite and >= 0, got {v!r}")
     value = 0.5 * math.log2((1.0 + gamma_main) / (1.0 + gamma_eve))
     return value if value > 0.0 else 0.0
 
@@ -470,6 +479,12 @@ def _run_blocks(
     the one config, which each block writes into its own slice."""
     for cfg in cfgs:
         scheme.validate_for(cfg)
+        low = min(min(r.sr_rate, r.rd_rate, r.eve_rate) for r in cfg.relays)
+        if low < _MIN_LINK_RATE:
+            raise ConfigError(
+                f"link rate {low!r} is below {_MIN_LINK_RATE!r} (a mean SNR above "
+                "about 3066.9 dB), where the simulated link SNR overflows"
+            )
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None

@@ -9,9 +9,13 @@ the published experiment parameterizations; presets whose curve families
 differ in quantities the CSV schema does not carry (relay count, eavesdropper
 level, pinned-hop level) expand to one labelled sweep per family member.
 
-A simulated sweep runs one `simulate_outage` call per (scheme, rate) curve:
-the curve's cells share uniforms and differ only in link rates, so their
-estimates are correlated along the curve while each keeps its distribution.
+A simulated sweep runs one `simulate_outage` call per scheme, over every
+(rate, grid) cell in rate-major order: the cells share uniforms and differ
+only in link rates, so their estimates are correlated across the whole
+sweep while each keeps its distribution.  The call is seeded as the scheme's
+first cell was when every cell had its own substream, so the first rate's
+`p_mc` are those of one call per (scheme, rate) curve; the other rates are
+drawn anew.
 """
 
 from __future__ import annotations
@@ -226,12 +230,12 @@ class SweepRow:
     floor: float | None = None
 
 
-def _cell_seed(seed: int, scheme_label: str, rate_index: int, grid_index: int) -> int:
-    """Stable substream seed of one cell; run_sweep seeds each curve with
-    its first cell's (grid_index 0)."""
+def _cell_seed(seed: int, scheme_label: str) -> int:
+    """Substream seed of one scheme's simulation: the seed its first cell
+    (rate 0, grid point 0) had when every cell was drawn on its own."""
     import hashlib  # loads OpenSSL, which only simulated sweeps need
 
-    text = f"{seed}:{scheme_label}:{rate_index}:{grid_index}".encode()
+    text = f"{seed}:{scheme_label}:0:0".encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
@@ -289,43 +293,45 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Closed forms are always computed; expansion columns appear for schemes
     with a published high-SNR form.  Simulation columns appear when
-    mc_trials > 0, from one simulate_outage call per (scheme, rate) curve,
-    seeded as the curve's first cell.
+    mc_trials > 0, from one simulate_outage call per scheme over all its
+    (rate, grid) cells in rate-major order, seeded as the scheme's first cell.
     """
     rows: list[SweepRow] = []
-    grid = spec.snr_grid_db
+    cells = [
+        (rate, spec.split_for_rate(ri), grid_db)
+        for ri, rate in enumerate(spec.rates)
+        for grid_db in spec.snr_grid_db
+    ]
     for scheme in spec.schemes:
-        for ri, rate in enumerate(spec.rates):
-            split = spec.split_for_rate(ri)
-            cfgs = (_build_config(spec, rate, split, grid_db) for grid_db in grid)
-            estimates = None
-            if spec.mc_trials > 0:
-                # The simulation takes the whole curve at once; without it each
-                # config is built as its cell comes up, so its build time stays
-                # in that cell's latency.
-                cfgs = list(cfgs)
-                estimates = simulate_outage(
-                    cfgs, scheme, spec.mc_trials, _cell_seed(spec.seed, scheme.label, ri, 0)
+        cfgs = (_build_config(spec, *cell) for cell in cells)
+        estimates = None
+        if spec.mc_trials > 0:
+            # The simulation takes every cell at once; without it each config
+            # is built as its cell comes up, so its build time stays in that
+            # cell's latency.
+            cfgs = list(cfgs)
+            estimates = simulate_outage(
+                cfgs, scheme, spec.mc_trials, _cell_seed(spec.seed, scheme.label)
+            )
+        for k, ((rate, _, grid_db), cfg) in enumerate(zip(cells, cfgs)):
+            closed = outage_for_scheme(cfg, scheme)
+            p_mc = mc_stderr = None
+            if estimates is not None:
+                p_mc, mc_stderr = estimates[k].p_hat, estimates[k].std_err
+            p_asymp, floor = _asymptote_columns(spec, scheme, cfg, grid_db)
+            rows.append(
+                SweepRow(
+                    scheme=scheme.label,
+                    rate_rs=rate,
+                    snr_db=grid_db,
+                    p_closed=closed.p,
+                    n_relays=spec.n_relays,
+                    p_mc=p_mc,
+                    mc_stderr=mc_stderr,
+                    p_asymp=p_asymp,
+                    floor=floor,
                 )
-            for gi, (grid_db, cfg) in enumerate(zip(grid, cfgs)):
-                closed = outage_for_scheme(cfg, scheme)
-                p_mc = mc_stderr = None
-                if estimates is not None:
-                    p_mc, mc_stderr = estimates[gi].p_hat, estimates[gi].std_err
-                p_asymp, floor = _asymptote_columns(spec, scheme, cfg, grid_db)
-                rows.append(
-                    SweepRow(
-                        scheme=scheme.label,
-                        rate_rs=rate,
-                        snr_db=grid_db,
-                        p_closed=closed.p,
-                        n_relays=spec.n_relays,
-                        p_mc=p_mc,
-                        mc_stderr=mc_stderr,
-                        p_asymp=p_asymp,
-                        floor=floor,
-                    )
-                )
+            )
     return rows
 
 

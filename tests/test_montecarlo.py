@@ -23,6 +23,7 @@ from relaysec import (
     SystemConfig,
     apply_selection,
     outage_flags,
+    outage_for_scheme,
     sample_realization,
     secrecy_rate,
     select_ps,
@@ -73,6 +74,14 @@ class TestSecrecyRate:
 
     def test_negative_rate_clips_to_zero(self):
         assert secrecy_rate(0.0, 5.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "main, eve",
+        [(0.0, math.inf), (math.inf, 0.0), (-1.0, 0.0), (0.0, -1e-300), (math.nan, 1.0)],
+    )
+    def test_rejects_negative_or_non_finite_snrs(self, main, eve):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            secrecy_rate(main, eve)
 
 
 class TestApplySelection:
@@ -167,6 +176,35 @@ class TestSimulateOutage:
         est = simulate_outage(cfg, TS, 40_000, 17)
         assert flags.mean() == est.p_hat
 
+    @pytest.mark.parametrize("link", range(3), ids=["sr", "rd", "eve"])
+    def test_link_rates_whose_snr_overflows_are_refused(self, link):
+        # ln(2^-53), the log of the smallest nonzero uniform, over -rate
+        # overflows one ulp below the bound; scored with inf SNRs, an OS trial
+        # at rate 1e-308 used to pick a NaN metric and never count an outage.
+        edge = montecarlo._MIN_LINK_RATE
+        assert -math.log(2.0**-53) / edge < math.inf
+        assert -math.log(2.0**-53) / math.nextafter(edge, 0.0) == math.inf
+        rates = [edge] * 3
+        rates[link] = math.nextafter(edge, 0.0)
+        fine = RelayLinkParams(edge, edge, edge)
+        cfg = SystemConfig((fine, RelayLinkParams(*rates), fine), 0.5)
+        for call in (
+            lambda: simulate_outage(cfg, OS, 100, 3),
+            lambda: simulate_outage([SystemConfig((fine,) * 3, 0.5), cfg], TS, 100, 3),
+            lambda: outage_flags(cfg, single(1), 100, 3),
+        ):
+            with pytest.raises(ConfigError, match="link rate"):
+                call()
+
+    def test_link_rates_at_the_bound_keep_every_snr_finite(self):
+        # Tier-1 turns numpy's overflow RuntimeWarning into an error.
+        edge = montecarlo._MIN_LINK_RATE
+        cfg = SystemConfig(tuple(RelayLinkParams(edge, edge, edge) for _ in range(3)), 0.5)
+        for scheme in ALL_SCHEMES:
+            est = simulate_outage(cfg, scheme, 4_000, 3)
+            closed = outage_for_scheme(cfg, scheme).p
+            assert abs(est.p_hat - closed) < 4 * est.std_err, scheme.label
+
 
 class TestScalarVectorConsistency:
     """The vectorized block kernel must reproduce the per-trial reference
@@ -219,34 +257,6 @@ class TestSelectionReference:
                     expected = reference_pick(scheme, cfg, real)
                     assert apply_selection(scheme, cfg, real) == expected, (scheme.label, real)
         assert zero_rate_ties > 0
-
-    def test_inf_over_inf_os_metrics_pick_the_first_nan(self):
-        # Link rates of 1e-308 overflow about one SNR in six to inf, so some
-        # relays' OS metric is inf/inf = NaN; np.argmax picks the first NaN,
-        # whose outage test (1 + inf) < rho * (1 + inf) is False.
-        cfg = SystemConfig(tuple(RelayLinkParams(1e-308, 1e-308, 1e-308) for _ in range(3)), 0.5)
-        trials, seed = 4_000, 3
-        with np.errstate(over="ignore", invalid="ignore"):
-            flags = outage_flags(cfg, OS, trials, seed)
-            g = np.log(block_generator(seed, 0).random((trials, 3, 3))) / -1e-308
-            assert hashlib.sha256(flags.tobytes()).hexdigest() == _OS_INF_FLAGS
-            nan_picks = 0
-            for t in range(trials):
-                sr, rd, eve = (g[t, :, link].tolist() for link in range(3))
-                main = [min(s, d) for s, d in zip(sr, rd)]
-                metric = [max((1.0 + m) / (1.0 + e), 1.0) for m, e in zip(main, eve)]
-                nans = [k for k, v in enumerate(metric) if v != v]
-                k = nans[0] if nans else metric.index(max(metric))
-                nan_picks += bool(nans)
-                if all(math.isfinite(v) for v in sr + rd + eve):
-                    assert k + 1 == reference_pick(OS, cfg, make_real(sr, rd, eve)), t
-                assert bool(flags[t]) == ((1.0 + main[k]) < (1.0 + eve[k]) * cfg.rho), t
-        assert nan_picks > 0
-
-
-# sha256 of outage_flags(1e-308-rate OS config, OS, 4_000, 3), recorded with
-# np.argmax selection.
-_OS_INF_FLAGS = "ae1dde6f2a3a9165675819fe251fb2ca736e72ea53e4c9922954892d47300437"
 
 
 class TestFirstMax:

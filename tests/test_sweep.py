@@ -162,8 +162,9 @@ class TestRunSweep:
 
 
 class TestCurveSimulation:
-    """A simulated sweep runs one simulation per (scheme, rate) curve, seeded
-    as the curve's first cell, on uniforms shared by all its cells."""
+    """A simulated sweep runs one simulation per scheme over all its (rate,
+    grid) cells, seeded as the scheme's first cell, on uniforms shared by
+    every cell."""
 
     spec = SweepSpec(
         snr_grid_db=(0.0, 10.0, 20.0),
@@ -187,28 +188,41 @@ class TestCurveSimulation:
         monkeypatch.setattr(sweep, "simulate_outage", recorded)
         return made
 
-    def test_one_simulation_per_curve(self, calls):
+    def test_one_simulation_per_scheme(self, calls):
         rows = run_sweep(self.spec)
-        curves = [(s.label, ri) for s in self.spec.schemes for ri in range(len(self.spec.rates))]
-        assert len(calls) == len(curves)
-        for (cfgs, scheme, trials, seed), (label, ri) in zip(calls, curves):
-            assert scheme.label == label and trials == 700
-            assert seed == _cell_seed(11, label, ri, 0)
-            assert len(cfgs) == len(self.spec.snr_grid_db)
-        assert len(rows) == len(curves) * len(self.spec.snr_grid_db)
+        cells = [(rate, self.spec.split_for_rate(ri), db)
+                 for ri, rate in enumerate(self.spec.rates) for db in self.spec.snr_grid_db]
+        assert len(calls) == len(self.spec.schemes)
+        for (cfgs, scheme, trials, seed), expected in zip(calls, self.spec.schemes):
+            assert scheme == expected and trials == 700
+            # Rate-major, so the first rate's cells come first.
+            assert list(cfgs) == [_build_config(self.spec, *cell) for cell in cells]
+            # The seed the scheme's first cell had on its own substream.
+            text = f"11:{scheme.label}:0:0".encode()
+            assert seed == _cell_seed(11, scheme.label)
+            assert seed == int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+        assert len(rows) == len(calls) * len(cells)
 
     def test_no_simulation_without_trials(self, calls):
         rows = run_sweep(replace(self.spec, mc_trials=0))
         assert calls == [] and all(r.p_mc is None for r in rows)
 
-    def test_cells_match_single_config_calls_at_the_first_cell_seed(self):
-        # The seed of each curve's first cell is the one that cell had on its
-        # own, so the first cells keep their values.
+    def test_cells_match_single_config_calls_at_the_scheme_seed(self):
         for k, row in enumerate(run_sweep(self.spec)):
             ri = self.spec.rates.index(row.rate_rs)
             cfg = _build_config(self.spec, row.rate_rs, self.spec.split_for_rate(ri), row.snr_db)
-            est = simulate_outage(cfg, parse_scheme(row.scheme), 700, _cell_seed(11, row.scheme, ri, 0))
+            est = simulate_outage(cfg, parse_scheme(row.scheme), 700, _cell_seed(11, row.scheme))
             assert (row.p_mc, row.mc_stderr) == (est.p_hat, est.std_err), k
+
+    def test_fig5_first_rate_rows_match_the_pinned_digest(self):
+        # The first rate's cells lead each scheme's call, so their rows are
+        # those of one call per (scheme, rate) curve.
+        (_, spec), = figure_preset("fig5")
+        text = render_csv(run_sweep(replace(spec, mc_trials=100_000, seed=1)))
+        first = [line for line in text.splitlines()[1:] if line.split(",")[1] == "0.1"]
+        assert len(first) == len(ALL_SCHEMES) * len(spec.snr_grid_db)
+        digest = hashlib.sha256(("\n".join(first) + "\n").encode()).hexdigest()
+        assert digest == _FIG5_RATE_01_SHA256
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fig5_simulated_curves_never_rise_with_snr(self, seed):
@@ -224,6 +238,12 @@ class TestCurveSimulation:
         for key, points in curves.items():
             p_mc = [p for _, p in sorted(points)]
             assert all(b <= a for a, b in zip(p_mc, p_mc[1:])), (key, p_mc)
+
+
+# sha256 of the rate-0.1 rows, each ending in a newline, of `relaysec figure
+# fig5 --trials 100000 --seed 1`, recorded when each (scheme, rate) curve was
+# simulated in its own call.
+_FIG5_RATE_01_SHA256 = "2b91c5f6b0fd920a38f23501764ead5cc9e04821372084a8837659c6115c7284"
 
 
 class TestFigurePresets:
@@ -570,6 +590,14 @@ class TestCli:
         path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
         assert main(["outage", "--config", str(path)]) == 2
         assert "outside the float64 range" in capsys.readouterr().err
+
+    def test_simulating_an_overflowing_link_snr_exits_2(self, tmp_path, capsys):
+        # A 3080 dB hop has link rate 1e-308, where the simulated SNR overflows.
+        relays = [{"sr_snr_db": 3080.0, "rd_snr_db": 10.0, "eve_snr_db": 0.0}]
+        path = tmp_path / "overflowing_snr.json"
+        path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
+        assert main(["simulate", "--config", str(path), "--trials", "100", "--seed", "1"]) == 2
+        assert "where the simulated link SNR overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
