@@ -52,6 +52,7 @@ at 32.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,11 +236,12 @@ def _cell_integrals(
 
     with kink_k = scale_k*(rho-1) and h_k(x) = 1 for x <= 0.  Panels double
     outward from 0 and from each kink to the next, or to 90/min(w) past the
-    last, and none reaches past 746/min(w), where every e^{-w_i m} is 0; the
-    first is 1/max(w) wide, or less where an h_k decays faster.  Needs
+    last, and none reaches past 746/min(w), where every e^{-w_i m} is 0, or
+    past the largest double, which that bound exceeds below min(w) = 5e-307;
+    the first is 1/max(w) wide, or less where an h_k decays faster.  Needs
     s_k <= b_k (every scheme)."""
     fast, slow = max(weights), min(weights)
-    cut = 746.0 / slow
+    cut = min(746.0 / slow, sys.float_info.max)
     d = cfg.rho - 1.0
     w = np.array(weights)[:, None]
     scale = np.array(couple_scales)

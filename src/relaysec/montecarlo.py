@@ -17,8 +17,9 @@ reduced in block order.  The estimate is therefore bit-identical for a given
 (config, scheme, trials, seed) at any degree of parallelism, and every scheme
 simulated at the same seed sees the same channel realizations (selection
 consumes no randomness).  A call with more than one block runs them on a
-thread pool capped at the available cores; each thread computes in its own
-reused workspace, and no returned array aliases one.
+thread pool of its own, capped at the available cores, that ends with the
+call; each thread computes in its own reused workspace, and no returned
+array aliases one.
 
 Only the link rates turn ln(U) into link SNRs, so `simulate_outage` also takes
 a sequence of configs with one relay count, such as every cell of one
@@ -34,12 +35,12 @@ exactly the values of one whole-block draw, and an exact 0.0 is redrawn, in
 C order, from the stream after the block's last uniform, as a whole-block
 draw would redraw it.  Every config of the call is scored on the chunk at
 once: the link SNRs the scheme compares are laid out (config, relay, trial),
-the selected relay is the first maximum over the relay axis, and only its
-links are turned into SNRs for the outage test.  The rows per chunk are
-chosen so that a thread's workspace (the chunk's ln(U), two link planes per
-config and the per-trial scratch) holds at most 4 * BLOCK_SIZE * N doubles;
-when a single trial's row for every config would not fit, the configs are
-scored in groups.
+the selected relay is the first maximum over the relay axis (PS and a pinned
+relay have fixed picks), and only its links are gathered into SNRs for the
+outage test.  The rows per chunk keep a thread's workspace (the chunk's
+ln(U), two link planes per config and the per-trial scratch) within
+4 * BLOCK_SIZE * N doubles; when one trial's row of every config would not
+fit, each group of configs that does fit makes its own pass over the blocks.
 """
 
 from __future__ import annotations
@@ -76,11 +77,8 @@ _MIN_LINK_RATE = 53 * math.log(2.0) / sys.float_info.max
 # A thread's chunk workspace holds at most this many doubles per relay.
 _WORKSPACE = 4 * BLOCK_SIZE
 
-# Per-thread chunk workspace, and the pool that runs a call's blocks.  Tests
-# replace _pool to fix the worker count.
+# Per-thread chunk workspace.
 _local = threading.local()
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -262,8 +260,7 @@ def _first_max(
 ) -> np.ndarray:
     """np.argmax(metric, axis=1) into idx, by whole-array passes, with each
     row's maximum in top: idx counts the leading relays below the maximum,
-    so the lowest index wins among equal maxima, and a row that holds a NaN
-    gets its first NaN."""
+    so the lowest index wins among equal maxima.  The metric holds no NaN."""
     n = metric.shape[1]
     np.max(metric, axis=1, out=top)
     np.not_equal(metric[:, 0], top, out=run)
@@ -271,30 +268,24 @@ def _first_max(
     for j in range(1, n - 1):
         run &= np.not_equal(metric[:, j], top, out=ne)
         idx += run
-    # A NaN maximum equals no relay, so those rows look up their first NaN.
-    if np.isnan(top, out=ne).any():
-        idx[ne] = np.argmax(np.isnan(metric.transpose(0, 2, 1)[ne]), axis=1)
     return idx
 
 
 class _Curve:
-    """What every block of one call reads: the configs' rates, the fixed
+    """What every block of one pass reads: the configs' rates, the fixed
     picks, and the chunk layout."""
 
     __slots__ = ("scheme", "n", "k", "neg_rates", "eve_rates", "rho", "picks",
-                 "picked_rates", "rows", "group", "trial_offsets", "config_offsets")
+                 "rows", "trial_offsets", "config_offsets")
 
-    def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], trials: int):
+    def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], rows: int):
         self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
         self.neg_rates = _neg_rates(cfgs)
         # SS-RE's per-relay weight, (configs, n, 1).
         self.eve_rates = -self.neg_rates[2, :, :, None]
         self.rho = np.array([[c.rho] for c in cfgs], dtype=np.float64)
         self.picks = _fixed_picks(scheme, cfgs)
-        if self.picks is not None:
-            # (3, configs, 1): each config's negated rates at its fixed pick.
-            self.picked_rates = self.neg_rates[:, np.arange(self.k), self.picks, None]
-        self.rows, self.group = _layout(min(trials, BLOCK_SIZE), self.n, self.k)
+        self.rows = rows
         # Flat offsets of a chunk's trials in one link's (n, rows) ln(U), and
         # of the configs in one link's (configs, n) rates.
         self.trial_offsets = np.arange(self.rows, dtype=np.intp)
@@ -308,7 +299,7 @@ def _layout(size: int, n: int, k: int) -> tuple[int, int]:
     per config: two link planes (16n), five per-trial scratch arrays, the
     index arrays among them (40), and three bool arrays (3).  All k configs
     share a chunk while one row of them fits the workspace; beyond that, the
-    largest group that fits does."""
+    largest group that fits does, and the rest make passes of their own."""
     budget = 8 * _WORKSPACE * n
     per_config = 16 * n + 43
     group = min(k, (budget - 48 * n) // per_config)
@@ -318,9 +309,9 @@ def _layout(size: int, n: int, k: int) -> tuple[int, int]:
 class _Views(NamedTuple):
     u: np.ndarray  # (rows, n, 3), the chunk's uniforms as drawn
     links: np.ndarray  # (3, n, rows), their ln(U) link-major
-    a: np.ndarray  # (group, n, rows) link planes
+    a: np.ndarray  # (configs, n, rows) link planes
     b: np.ndarray
-    top: np.ndarray  # (group, rows) each from here on
+    top: np.ndarray  # (configs, rows) each from here on
     x: np.ndarray
     tmp: np.ndarray
     idx: np.ndarray
@@ -330,62 +321,53 @@ class _Views(NamedTuple):
     flags: np.ndarray
 
 
-def _workspace(rows: int, n: int, group: int) -> _Views:
-    """This thread's chunk buffers for `rows` trials of `group` configs of n
+def _workspace(rows: int, n: int, k: int) -> _Views:
+    """This thread's chunk buffers for `rows` trials of k configs of n
     relays: views of one flat buffer that grows to the largest need it has
     met, at most _WORKSPACE * n doubles."""
-    plane, per = group * n * rows, group * rows
+    plane, per = k * n * rows, k * rows
     ends = np.cumsum([3 * n * rows, 3 * n * rows, plane, plane] + [per] * 5)
     need = int(ends[-1]) + -(-3 * per // 8)
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < need:
         buf = _local.buf = np.empty(need)
     u, links, a, b, top, x, tmp, idx, pos, bools = np.split(buf[:need], ends)
-    bools = bools.view(np.bool_)[: 3 * per].reshape(3, group, rows)
+    bools = bools.view(np.bool_)[: 3 * per].reshape(3, k, rows)
     return _Views(
         u.reshape(rows, n, 3),
         links.reshape(3, n, rows),
-        a.reshape(group, n, rows),
-        b.reshape(group, n, rows),
-        *(v.reshape(group, rows) for v in (top, x, tmp)),
-        *(v.view(np.intp)[:per].reshape(group, rows) for v in (idx, pos)),
+        a.reshape(k, n, rows),
+        b.reshape(k, n, rows),
+        *(v.reshape(k, rows) for v in (top, x, tmp)),
+        *(v.view(np.intp)[:per].reshape(k, rows) for v in (idx, pos)),
         *bools,
     )
 
 
-def _score(
-    curve: _Curve, r: int, lo: int, hi: int, ws: _Views, flags: np.ndarray
-) -> np.ndarray:
-    """Outage flags of configs lo:hi on the chunk's first r trials in
-    ws.links, written to flags (hi - lo, r)."""
-    g, scheme, links = hi - lo, curve.scheme, ws.links[:, :, :r]
-    top, x, tmp = (v[:g, :r] for v in (ws.top, ws.x, ws.tmp))
+def _score(curve: _Curve, r: int, ws: _Views, flags: np.ndarray) -> np.ndarray:
+    """Every config's outage flags on the chunk's first r trials in ws.links,
+    written to flags (configs, r)."""
+    scheme = curve.scheme
+    top, x, tmp, idx, pos = (v[:, :r] for v in (ws.top, ws.x, ws.tmp, ws.idx, ws.pos))
     if curve.picks is None:
-        idx, pos = ws.idx[:g, :r], ws.pos[:g, :r]
         metric = _metric(
-            scheme, links, curve.neg_rates[:, lo:hi], curve.eve_rates[lo:hi],
-            ws.a[:g, :, :r], ws.b[:g, :, :r],
+            scheme, ws.links[:, :, :r], curve.neg_rates, curve.eve_rates,
+            ws.a[:, :, :r], ws.b[:, :, :r],
         )
-        _first_max(metric, top, idx, ws.run[:g, :r], ws.ne[:g, :r])
-        # Flat positions of the chosen relay in one link's ln(U) and rates.
-        np.multiply(idx, ws.links.shape[2], out=pos)
-        pos += curve.trial_offsets[:r]
-        idx += curve.config_offsets[lo:hi]
-        flat_links, flat_rates = ws.links.reshape(3, -1), curve.neg_rates.reshape(3, -1)
-
-        def chosen(link: int, out: np.ndarray) -> np.ndarray:
-            """The chosen relay's SNR on one link, (g, r), in out."""
-            np.take(flat_links[link], pos, out=out, mode="wrap")
-            np.take(flat_rates[link], idx, out=tmp, mode="wrap")
-            return np.divide(out, tmp, out=out)
-
+        _first_max(metric, top, idx, ws.run[:, :r], ws.ne[:, :r])
     else:
-        picks, picked_rates = curve.picks[lo:hi], curve.picked_rates[:, lo:hi]
+        np.copyto(idx, curve.picks[:, None])
+    # Flat positions of the chosen relay in one link's ln(U) and rates.
+    np.multiply(idx, ws.links.shape[2], out=pos)
+    pos += curve.trial_offsets[:r]
+    idx += curve.config_offsets
+    flat_links, flat_rates = ws.links.reshape(3, -1), curve.neg_rates.reshape(3, -1)
 
-        def chosen(link: int, out: np.ndarray) -> np.ndarray:
-            """The picked relay's SNR on one link, (g, r), in out."""
-            np.take(links[link], picks, axis=0, out=out, mode="wrap")
-            return np.divide(out, picked_rates[link], out=out)
+    def chosen(link: int, out: np.ndarray) -> np.ndarray:
+        """The chosen relay's SNR on one link, (configs, r), in out."""
+        np.take(flat_links[link], pos, out=out, mode="wrap")
+        np.take(flat_rates[link], idx, out=tmp, mode="wrap")
+        return np.divide(out, tmp, out=out)
 
     # TS's maximum is the chosen main SNR, and SS-RD/SS-SR's is one hop of it.
     if scheme.kind == "TS":
@@ -399,7 +381,7 @@ def _score(
     main += 1.0
     eve = chosen(2, x if main is top else top)
     eve += 1.0
-    eve *= curve.rho[lo:hi]
+    eve *= curve.rho
     # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
     # comparison stays correct when the secrecy rate clips to zero.
     return np.less(main, eve, out=flags)
@@ -411,16 +393,14 @@ def _block_outages(
     """Each config's outage count over block `block_index`'s `size` trials,
     drawn and scored a chunk at a time; with `out`, the one config's flags
     are also written there."""
-    ws = _workspace(min(curve.rows, size), curve.n, curve.group)
+    ws = _workspace(min(curve.rows, size), curve.n, curve.k)
     counts = np.zeros(curve.k, dtype=np.int64)
     for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
         r = len(u)
         # In place first: a transposing log would read u without SIMD.
         np.copyto(ws.links[:, :, :r], np.log(u, out=u).transpose(2, 1, 0))
-        for lo in range(0, curve.k, curve.group):
-            hi = min(lo + curve.group, curve.k)
-            dest = ws.flags[: hi - lo, :r] if out is None else out[None, first : first + r]
-            counts[lo:hi] += np.count_nonzero(_score(curve, r, lo, hi, ws, dest), axis=1)
+        dest = ws.flags[:, :r] if out is None else out[None, first : first + r]
+        counts += np.count_nonzero(_score(curve, r, ws, dest), axis=1)
     return counts
 
 
@@ -432,24 +412,10 @@ def _cores() -> int:
 
 
 def _executor():
-    """The shared block pool, one worker per available core, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+    """A pool for one call's blocks, one worker per available core."""
+    from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(_cores(), thread_name_prefix="relaysec-mc")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    return ThreadPoolExecutor(_cores(), thread_name_prefix="relaysec-mc")
 
 
 def _configs(cfg: SystemConfig | Sequence[SystemConfig]) -> tuple[SystemConfig, ...]:
@@ -488,25 +454,34 @@ def _run_blocks(
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
-    curve = _Curve(scheme, cfgs, trials)
+    rows, group = _layout(min(trials, BLOCK_SIZE), cfgs[0].n_relays, len(cfgs))
+    outages = np.zeros(len(cfgs), dtype=np.int64)
+    # Configs that do not fit one chunk together make a pass over the blocks
+    # per group, each adding its counts to its own slice of outages.
+    passes = [(_Curve(scheme, cfgs[lo : lo + group], rows), outages[lo : lo + group])
+              for lo in range(0, len(cfgs), group)]
 
-    def block(b: int) -> np.ndarray:
+    def block(curve: _Curve, b: int) -> np.ndarray:
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, trials)
         return _block_outages(curve, seed, b, hi - lo, None if flags is None else flags[lo:hi])
 
     n_blocks = -(-trials // BLOCK_SIZE)
     if n_blocks == 1:
-        return trials, seed, block(0), flags
+        for curve, total in passes:
+            total += block(curve, 0)
+        return trials, seed, outages, flags
     # A few blocks per core are in flight at once, so a call of any length
     # holds a bounded number of futures; counts are summed in block order.
-    pool, window, pending = _executor(), 4 * _cores(), deque()
-    outages = np.zeros(len(cfgs), dtype=np.int64)
-    for b in range(n_blocks):
-        if len(pending) == window:
-            outages += pending.popleft().result()
-        pending.append(pool.submit(block, b))
-    for f in pending:
-        outages += f.result()
+    window, pending = 4 * _cores(), deque()
+    with _executor() as pool:
+        for curve, total in passes:
+            for b in range(n_blocks):
+                if len(pending) == window:
+                    done, future = pending.popleft()
+                    done += future.result()
+                pending.append((total, pool.submit(block, curve, b)))
+        for total, future in pending:
+            total += future.result()
     return trials, seed, outages, flags
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,7 +37,7 @@ from relaysec import (
     single_relay_outage,
     split_total_snr,
 )
-from relaysec import closedform
+from relaysec import closedform, montecarlo
 from relaysec.closedform import _as_probability
 from relaysec.params import ConfigError
 
@@ -432,17 +433,20 @@ class TestCancellationRegime:
 
     def test_package_imports_without_mpmath(self):
         # mpmath is a test oracle only.  hashlib (OpenSSL, about 3.6 MB) seeds
-        # simulated cells and importlib.metadata would only read a version, so
-        # neither belongs in an import or a closed-form-only sweep; nor does
-        # numpy.polynomial, whose leggauss also starts LAPACK (1.4 MB).
+        # simulated cells, concurrent.futures runs a simulation's blocks and
+        # importlib.metadata would only read a version, so none belongs in an
+        # import or a closed-form-only sweep; nor does numpy.polynomial, whose
+        # leggauss also starts LAPACK (1.4 MB).
         code = "\n".join([
             "import sys, relaysec, relaysec.cli",
-            "loaded = [m for m in ('mpmath', 'hashlib', 'importlib.metadata', 'numpy.polynomial')",
-            "          if m in sys.modules]",
+            "lazy = ('mpmath', 'hashlib', 'concurrent.futures', 'importlib.metadata',",
+            "        'numpy.polynomial')",
+            "loaded = [m for m in lazy if m in sys.modules]",
             "assert not loaded, loaded",
             "spec = relaysec.SweepSpec((0.0, 40.0), (0.5,), relaysec.ALL_SCHEMES, n_relays=8)",
             "assert len(relaysec.run_sweep(spec)) == 12",
-            "assert 'hashlib' not in sys.modules",
+            "loaded = [m for m in ('hashlib', 'concurrent.futures') if m in sys.modules]",
+            "assert not loaded, loaded",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -509,6 +513,43 @@ def integrated_cells(monkeypatch, configs):
                 kind = scheme.kind
                 outage_for_scheme(cfg, scheme)
     return cells
+
+
+def mp_fixed_outage(cfg: SystemConfig, scheme, dps: int) -> float:
+    """OS, PS or a pinned relay from each branch's W(B_k) in `dps` digits."""
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(cfg.rho)
+        branches = [
+            1 - a * mpmath.exp(-b * (rho - 1)) / (b * rho + a)
+            for b, a in ((mpmath.mpf(r.main_rate), mpmath.mpf(r.eve_rate)) for r in cfg.relays)
+        ]
+        if scheme.kind == "OS":
+            return float(mpmath.fprod(branches))
+        if scheme.kind == "PS":
+            return float(min(branches))
+        return float(branches[scheme.relay - 1])
+
+
+class TestSimulatorRateBound:
+    """Hops at the simulator's smallest link rate (about 3066 dB), where
+    746/min(w) overflows; the subset sums cancel about 300 decades here, so
+    the oracle works in 700 digits."""
+
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    @pytest.mark.parametrize("eve_order", [1, -1], ids=["eve-ascending", "eve-descending"])
+    def test_every_scheme_matches_the_oracle(self, rate, eve_order):
+        hops = [montecarlo._MIN_LINK_RATE * m for m in (1.0, 2.0, 3.0, 100.0)]
+        eves = np.geomspace(1e-3, 30.0, 4)[::eve_order].tolist()
+        cfg = SystemConfig(tuple(RelayLinkParams(h, h, e) for h, e in zip(hops, eves)), rate)
+        for scheme in ALL_SCHEMES + (single(4),):
+            if scheme.kind in ("OS", "PS", "SINGLE"):
+                expected = mp_fixed_outage(cfg, scheme, dps=700)
+            else:
+                expected = mp_selection_outage(cfg, scheme.kind, dps=700)
+            # Four relays are summed in float64 unless a sum cancels, which
+            # can lose about 1e-12 relative (README's numerical notes).
+            got = outage_for_scheme(cfg, scheme).p
+            assert got == pytest.approx(expected, rel=1e-11, abs=0.0), scheme.label
 
 
 class TestBatchedIntegralReference:

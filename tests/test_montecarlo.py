@@ -3,7 +3,7 @@ import math
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -261,29 +261,46 @@ class TestSelectionReference:
 
 class TestFirstMax:
     """The simulator's whole-array first maximum is np.argmax over the relay
-    axis: the lowest index among ties, and the first NaN of a row with one."""
+    axis, the lowest index among ties, on every metric the simulator forms."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 32])
-    @pytest.mark.parametrize("values", ["ties", "infinities", "nans", "continuous"])
+    @pytest.mark.parametrize("values", ["ties", "infinities", "continuous"])
     def test_matches_argmax(self, n, values):
         rng = np.random.default_rng(n)
         shape = (3, n, 2_000)
         pools = {
             "ties": [-1.0, -0.0, 0.0, 1.0, 2.0],
             "infinities": [-np.inf, -1.0, 0.0, 1.0, np.inf],
-            "nans": [-np.inf, 0.0, 1.0, np.inf, np.nan],
         }
         metric = (
             rng.standard_normal(shape) if values == "continuous" else rng.choice(pools[values], shape)
         )
-        if values == "nans":
-            metric[:, :, :5] = np.nan  # whole rows of NaN
         top, idx = np.empty((3, 2_000)), np.empty((3, 2_000), dtype=np.intp)
         bools = np.empty((2, 3, 2_000), dtype=bool)
         got = montecarlo._first_max(metric, top, idx, *bools)
         assert got is idx
         assert np.array_equal(idx, np.argmax(metric, axis=1))
-        assert np.array_equal(top, np.max(metric, axis=1), equal_nan=True)
+        assert np.array_equal(top, np.max(metric, axis=1))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES[:5], ids=lambda s: s.label)
+    def test_metrics_at_the_rate_bound_hold_no_nan(self, scheme):
+        # Hops at the smallest simulated rate give link SNRs up to about
+        # DBL_MAX, and eavesdropper rates over 600 decades push OS's ratio
+        # and SS-RE's product to their extremes; SS-RE's overflows to +inf.
+        edge, n, rows = montecarlo._MIN_LINK_RATE, 5, 4_096
+        eves = np.geomspace(1e-300, 1e300, n)
+        cfgs = [
+            SystemConfig(tuple(RelayLinkParams(edge * m, edge * m, e) for e in eves[::order]), 0.5)
+            for m in (1.0, 2.0, 3.0, 100.0) for order in (1, -1)
+        ]
+        neg_rates = montecarlo._neg_rates(cfgs)
+        planes = np.empty((2, len(cfgs), n, rows))
+        for b in range(3):
+            _, u = next(montecarlo._chunks(block_generator(5, b), np.empty((rows, n, 3)), rows))
+            links = np.log(u).transpose(2, 1, 0).copy()
+            with np.errstate(over="ignore"):
+                metric = montecarlo._metric(scheme, links, neg_rates, -neg_rates[2, :, :, None], *planes)
+            assert not np.isnan(metric).any(), (scheme.label, b)
 
 
 class TestPathwiseDominance:
@@ -364,16 +381,10 @@ class TestBlockPool:
 
     @pytest.fixture
     def pool_of(self, monkeypatch):
-        made = []
-
         def install(workers):
-            pool = ThreadPoolExecutor(workers)
-            made.append(pool)
-            monkeypatch.setattr(montecarlo, "_pool", pool)
+            monkeypatch.setattr(montecarlo, "_cores", lambda: workers)
 
-        yield install
-        for pool in made:
-            pool.shutdown()
+        return install
 
     def test_results_do_not_depend_on_the_worker_count(self, pool_of):
         trials = 5 * montecarlo.BLOCK_SIZE + 123
@@ -421,6 +432,12 @@ class TestBlockPool:
                 return super().result(timeout)
 
         class InlinePool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
             def submit(self, fn, *args):
                 future = Counted()
                 future.set_result(fn(*args))
@@ -443,7 +460,6 @@ class TestBlockPool:
 
     def test_forked_child_simulates_after_the_parent_made_the_pool(self):
         expected = simulate_outage(PIN_N4, OS, 3 * montecarlo.BLOCK_SIZE, 5)
-        assert montecarlo._pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_fork_child_simulates, args=(queue,))
@@ -577,9 +593,11 @@ def _curve(n, points, rate_rs=0.8):
     ]
 
 
-CURVE = _curve(3, 5)
+# A climbing curve, then its midpoint with the relays reversed, where PS
+# picks the last relay instead of the first.
+CURVE = _curve(3, 5) + [SystemConfig(_curve(3, 5)[2].relays[::-1], rate_rs=0.8)]
 # One partial block in one chunk, one full block, several full blocks, and a
-# partial last block that ends in a partial chunk (CURVE scores 2,625 rows
+# partial last block that ends in a partial chunk (CURVE scores 2,279 rows
 # per chunk).
 CURVE_TRIALS = [
     1_000,
@@ -595,13 +613,14 @@ class TestConfigSequence:
 
     @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
     def workers(self, request, monkeypatch):
-        pool = ThreadPoolExecutor(request.param)
-        monkeypatch.setattr(montecarlo, "_pool", pool)
-        yield request.param
-        pool.shutdown()
+        monkeypatch.setattr(montecarlo, "_cores", lambda: request.param)
+        return request.param
+
+    def test_the_curve_moves_the_fixed_picks(self):
+        assert [select_ps(cfg) for cfg in CURVE] == [1, 1, 1, 1, 1, 3]
 
     @pytest.mark.parametrize("trials", CURVE_TRIALS)
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(2),), ids=lambda s: s.label)
     def test_each_estimate_equals_its_single_config_call(self, workers, scheme, trials):
         got = simulate_outage(CURVE, scheme, trials, 23)
         assert isinstance(got, tuple) and len(got) == len(CURVE)
@@ -646,6 +665,12 @@ class TestConfigSequence:
                 return super().result(timeout)
 
         class InlinePool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
             def submit(self, fn, *args):
                 future = Counted()
                 future.set_result(fn(*args))
@@ -699,6 +724,21 @@ class TestConfigSequence:
         sample = {0, 1, points // 2, points - 1} | set(np.random.default_rng(n).integers(0, points, 3).tolist())
         for i in sorted(sample):
             assert got[i] == simulate_outage(curve[i], OS, trials, 12), i
+
+    def test_each_group_of_configs_makes_its_own_pass(self, workers, monkeypatch):
+        trials = 2 * montecarlo.BLOCK_SIZE + 7
+        expected = tuple(simulate_outage(cfg, SS_RE, trials, 9) for cfg in CURVE)
+        made = []
+
+        def counted(*key):
+            made.append(key)
+            return block_generator(*key)
+
+        monkeypatch.setattr(montecarlo, "block_generator", counted)
+        # Groups of two configs, as a curve too large for one chunk row gets.
+        monkeypatch.setattr(montecarlo, "_layout", lambda size, n, k: (min(size, 1_000), min(k, 2)))
+        assert simulate_outage(CURVE, SS_RE, trials, 9) == expected
+        assert sorted(made) == sorted([(9, b) for b in range(3)] * 3)
 
     def test_configs_are_grouped_only_when_a_row_does_not_fit(self):
         rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 1, 9_000)

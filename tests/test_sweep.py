@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -218,11 +219,13 @@ class TestCurveSimulation:
         # The first rate's cells lead each scheme's call, so their rows are
         # those of one call per (scheme, rate) curve.
         (_, spec), = figure_preset("fig5")
-        text = render_csv(run_sweep(replace(spec, mc_trials=100_000, seed=1)))
-        first = [line for line in text.splitlines()[1:] if line.split(",")[1] == "0.1"]
+        first = [line for line in _fig5_csv().splitlines()[1:] if line.split(",")[1] == "0.1"]
         assert len(first) == len(ALL_SCHEMES) * len(spec.snr_grid_db)
         digest = hashlib.sha256(("\n".join(first) + "\n").encode()).hexdigest()
         assert digest == _FIG5_RATE_01_SHA256
+
+    def test_fig5_csv_matches_the_pinned_digest(self):
+        assert hashlib.sha256(_fig5_csv().encode()).hexdigest() == _FIG5_SHA256
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fig5_simulated_curves_never_rise_with_snr(self, seed):
@@ -244,6 +247,16 @@ class TestCurveSimulation:
 # fig5 --trials 100000 --seed 1`, recorded when each (scheme, rate) curve was
 # simulated in its own call.
 _FIG5_RATE_01_SHA256 = "2b91c5f6b0fd920a38f23501764ead5cc9e04821372084a8837659c6115c7284"
+# sha256 of that command's whole CSV, both rates, recorded when each scheme's
+# cells over both rates were simulated in one call.
+_FIG5_SHA256 = "588e8323c127c392f2be07d26d614cd0c499212199135b06f491891d11809bf6"
+
+
+@functools.lru_cache(maxsize=1)
+def _fig5_csv() -> str:
+    """The CSV of `relaysec figure fig5 --trials 100000 --seed 1`."""
+    (_, spec), = figure_preset("fig5")
+    return render_csv(run_sweep(replace(spec, mc_trials=100_000, seed=1)))
 
 
 class TestFigurePresets:
