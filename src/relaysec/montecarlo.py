@@ -93,10 +93,7 @@ class ChannelRealization:
         n = len(self.gamma_sr)
         if not (len(self.gamma_rd) == len(self.gamma_eve) == n) or n < 1:
             raise ConfigError("realization arrays must share one length >= 1")
-        for seq in (self.gamma_sr, self.gamma_rd, self.gamma_eve):
-            for v in seq:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ConfigError(f"SNR values must be finite and >= 0, got {v!r}")
+        _require_snrs(*self.gamma_sr, *self.gamma_rd, *self.gamma_eve)
 
     @property
     def n_relays(self) -> int:
@@ -116,6 +113,12 @@ class MonteCarloEstimate:
     trials: int
     std_err: float
     seed: int
+
+
+def _require_snrs(*values: float) -> None:
+    for v in values:
+        if not math.isfinite(v) or v < 0.0:
+            raise ConfigError(f"SNR values must be finite and >= 0, got {v!r}")
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -166,6 +169,15 @@ def _neg_rates(cfgs: Sequence[SystemConfig]) -> np.ndarray:
     return -np.array(links, dtype=np.float64).transpose(2, 0, 1).copy()
 
 
+def _eve_weights(neg_rates: np.ndarray) -> np.ndarray:
+    """SS-RE's per-relay weights, (configs, n, 1): each config's eavesdropper
+    rates scaled by the one power of two that puts the largest in [0.5, 1).
+    The scale is exact, so it changes no comparison between products that
+    stay normal, and no product overflows: no link SNR exceeds DBL_MAX."""
+    eve = -neg_rates[2, :, :, None]
+    return np.ldexp(eve, -np.frexp(eve.max(axis=1, keepdims=True))[1])
+
+
 def _fixed_picks(scheme: SelectionScheme, cfgs: Sequence[SystemConfig]) -> np.ndarray | None:
     """0-based relay of each config for the rules that ignore the fading;
     None for the rules that compare it."""
@@ -192,9 +204,7 @@ def secrecy_rate(gamma_main: float, gamma_eve: float) -> float:
     Half of log2((1 + main SNR) / (1 + eavesdropper SNR)); the half reflects
     the two-slot dual-hop transmission.  Both SNRs must be finite and >= 0.
     """
-    for v in (gamma_main, gamma_eve):
-        if not math.isfinite(v) or v < 0.0:
-            raise ConfigError(f"SNR values must be finite and >= 0, got {v!r}")
+    _require_snrs(gamma_main, gamma_eve)
     value = 0.5 * math.log2((1.0 + gamma_main) / (1.0 + gamma_eve))
     return value if value > 0.0 else 0.0
 
@@ -216,8 +226,8 @@ def apply_selection(
     r, n = realization, cfg.n_relays
     links = np.array([r.gamma_sr, r.gamma_rd, r.gamma_eve], dtype=np.float64)[:, :, None]
     planes = np.empty((2, 1, n, 1))
-    eve_rates = -_neg_rates((cfg,))[2, :, :, None]
-    metric = _metric(scheme, links, np.ones((3, 1, n)), eve_rates, *planes)
+    weights = _eve_weights(_neg_rates((cfg,)))
+    metric = _metric(scheme, links, np.ones((3, 1, n)), weights, *planes)
     top, bools = np.empty((1, 1)), np.empty((2, 1, 1), dtype=bool)
     return int(_first_max(metric, top, np.empty((1, 1), np.intp), *bools)[0, 0]) + 1
 
@@ -232,7 +242,7 @@ def _metric(
     scheme: SelectionScheme,
     links: np.ndarray,
     neg_rates: np.ndarray,
-    eve_rates: np.ndarray,
+    eve_weights: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
@@ -251,7 +261,7 @@ def _metric(
         metric /= eve
         np.maximum(metric, 1.0, out=metric)
     elif kind == "SS-RE":
-        metric *= eve_rates
+        metric *= eve_weights
     return metric
 
 
@@ -275,14 +285,13 @@ class _Curve:
     """What every block of one pass reads: the configs' rates, the fixed
     picks, and the chunk layout."""
 
-    __slots__ = ("scheme", "n", "k", "neg_rates", "eve_rates", "rho", "picks",
+    __slots__ = ("scheme", "n", "k", "neg_rates", "eve_weights", "rho", "picks",
                  "rows", "trial_offsets", "config_offsets")
 
     def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], rows: int):
         self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
         self.neg_rates = _neg_rates(cfgs)
-        # SS-RE's per-relay weight, (configs, n, 1).
-        self.eve_rates = -self.neg_rates[2, :, :, None]
+        self.eve_weights = _eve_weights(self.neg_rates)
         self.rho = np.array([[c.rho] for c in cfgs], dtype=np.float64)
         self.picks = _fixed_picks(scheme, cfgs)
         self.rows = rows
@@ -351,7 +360,7 @@ def _score(curve: _Curve, r: int, ws: _Views, flags: np.ndarray) -> np.ndarray:
     top, x, tmp, idx, pos = (v[:, :r] for v in (ws.top, ws.x, ws.tmp, ws.idx, ws.pos))
     if curve.picks is None:
         metric = _metric(
-            scheme, ws.links[:, :, :r], curve.neg_rates, curve.eve_rates,
+            scheme, ws.links[:, :, :r], curve.neg_rates, curve.eve_weights,
             ws.a[:, :, :r], ws.b[:, :, :r],
         )
         _first_max(metric, top, idx, ws.run[:, :r], ws.ne[:, :r])

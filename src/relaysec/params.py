@@ -10,13 +10,12 @@ rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "RelayLinkParams",
     "SystemConfig",
     "SelectionScheme",
-    "DecibelValue",
     "OS",
     "TS",
     "SS_RE",
@@ -28,7 +27,6 @@ __all__ = [
     "parse_scheme",
     "rho_of_rate",
     "db_to_linear",
-    "linear_to_db",
     "split_total_snr",
 ]
 
@@ -93,31 +91,6 @@ def db_to_linear(value_db: float) -> float:
     return value
 
 
-def linear_to_db(value: float) -> float:
-    """Linear power ratio to decibels, 10*log10."""
-    value = _require_positive_finite("linear value", value)
-    return 10.0 * math.log10(value)
-
-
-@dataclass(frozen=True)
-class DecibelValue:
-    """A power ratio expressed in dB.  Round-trips with `linear` to 1e-12."""
-
-    value_db: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value_db):
-            raise ConfigError(f"dB value must be finite, got {self.value_db!r}")
-
-    @property
-    def linear(self) -> float:
-        return db_to_linear(self.value_db)
-
-    @classmethod
-    def from_linear(cls, value: float) -> "DecibelValue":
-        return cls(linear_to_db(value))
-
-
 def split_total_snr(total_snr_linear: float, fraction_sr: float) -> tuple[float, float]:
     """Share a total mean SNR between the two hops; returns the two rates.
 
@@ -169,10 +142,12 @@ class RelayLinkParams:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A complete problem instance: the relay set plus the target secrecy rate."""
+    """A complete problem instance: the relay set plus the target secrecy rate,
+    whose threshold `rho` is derived once, outside comparison and repr."""
 
     relays: tuple[RelayLinkParams, ...]
     rate_rs: float
+    rho: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         relays = tuple(self.relays)
@@ -182,15 +157,11 @@ class SystemConfig:
             if not isinstance(r, RelayLinkParams):
                 raise ConfigError(f"relay entries must be RelayLinkParams, got {type(r).__name__}")
         object.__setattr__(self, "relays", relays)
-        rho_of_rate(self.rate_rs)
+        object.__setattr__(self, "rho", rho_of_rate(self.rate_rs))
 
     @property
     def n_relays(self) -> int:
         return len(self.relays)
-
-    @property
-    def rho(self) -> float:
-        return rho_of_rate(self.rate_rs)
 
 
 _SCHEME_KINDS = ("OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS", "SINGLE")

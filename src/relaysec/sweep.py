@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -81,20 +80,37 @@ class FixedHop:
     def __post_init__(self) -> None:
         if self.which not in ("SR", "RD"):
             raise ConfigError(f"fixed_hop.which must be 'SR' or 'RD', got {self.which!r}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"fixed_hop.snr_db must be finite, got {self.snr_db!r}")
+        db_to_linear(self.snr_db)
+
+    @property
+    def rate(self) -> float:
+        """Exponential rate of the pinned hop."""
+        return 1.0 / db_to_linear(self.snr_db)
 
 
 def _ascending(name: str, values: Sequence[float]) -> tuple[float, ...]:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ConfigError(f"{name} must be non-empty")
-    for v in vals:
-        if not math.isfinite(v):
-            raise ConfigError(f"{name} entries must be finite, got {v!r}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{name} must be strictly ascending")
     return vals
+
+
+def _scalar_or_each(name: str, value, count: int, per: str) -> float | tuple[float, ...]:
+    """A scalar field as a float, or a sequence as a tuple of `count` floats,
+    one per `per`."""
+    if not isinstance(value, (tuple, list)):
+        return float(value)
+    values = tuple(float(x) for x in value)
+    if len(values) != count:
+        raise ConfigError(f"per-{per} {name} must have {count} entries, got {len(values)}")
+    return values
+
+
+def _each(value: float | tuple[float, ...], count: int) -> tuple[float, ...]:
+    """A field normalised by _scalar_or_each, as its `count` per-item values."""
+    return value if isinstance(value, tuple) else (value,) * count
 
 
 @dataclass(frozen=True)
@@ -132,65 +148,38 @@ class SweepSpec:
             if s.kind == "SINGLE" and s.relay > self.n_relays:
                 raise ConfigError(f"scheme {s.label} exceeds n_relays={self.n_relays}")
         object.__setattr__(self, "schemes", schemes)
-        if isinstance(self.power_split_sr, (tuple, list)):
-            splits = tuple(float(x) for x in self.power_split_sr)
-            if len(splits) != len(self.rates):
-                raise ConfigError(
-                    "per-rate power_split_sr must match the number of rates"
-                )
-            object.__setattr__(self, "power_split_sr", splits)
-        else:
-            object.__setattr__(self, "power_split_sr", float(self.power_split_sr))
-            splits = (self.power_split_sr,) * len(self.rates)
-        for f in splits:
+        object.__setattr__(self, "power_split_sr", _scalar_or_each(
+            "power_split_sr", self.power_split_sr, len(self.rates), "rate"))
+        for f in _each(self.power_split_sr, len(self.rates)):
             if not (0.0 < f < 1.0):
                 raise ConfigError(f"power_split_sr must lie in (0, 1), got {f!r}")
-        if isinstance(self.eaves_snr_db, (tuple, list)):
-            eaves = tuple(float(x) for x in self.eaves_snr_db)
-            if len(eaves) != self.n_relays:
-                raise ConfigError("per-relay eaves_snr_db must have length n_relays")
-            object.__setattr__(self, "eaves_snr_db", eaves)
-        else:
-            object.__setattr__(self, "eaves_snr_db", float(self.eaves_snr_db))
-        if isinstance(self.eaves_snr_db, tuple):
-            bad = [v for v in self.eaves_snr_db if not math.isfinite(v)]
-        else:
-            bad = [] if math.isfinite(self.eaves_snr_db) else [self.eaves_snr_db]
-        if bad:
-            raise ConfigError(f"eaves_snr_db entries must be finite, got {bad[0]!r}")
+        object.__setattr__(self, "eaves_snr_db", _scalar_or_each(
+            "eaves_snr_db", self.eaves_snr_db, self.n_relays, "relay"))
+        for db in self.snr_grid_db + _each(self.eaves_snr_db, self.n_relays):
+            db_to_linear(db)
         object.__setattr__(self, "mc_trials", _require_int("mc_trials", self.mc_trials, 0))
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.fixed_hop is not None and not isinstance(self.fixed_hop, FixedHop):
             raise ConfigError("fixed_hop must be a FixedHop or None")
 
     def split_for_rate(self, rate_index: int) -> float:
-        if isinstance(self.power_split_sr, tuple):
-            return self.power_split_sr[rate_index]
-        return float(self.power_split_sr)
+        return _each(self.power_split_sr, len(self.rates))[rate_index]
 
     def eve_rates(self) -> tuple[float, ...]:
-        if isinstance(self.eaves_snr_db, tuple):
-            return tuple(1.0 / db_to_linear(db) for db in self.eaves_snr_db)
-        return (1.0 / db_to_linear(float(self.eaves_snr_db)),) * self.n_relays
+        return tuple(1.0 / db_to_linear(db) for db in _each(self.eaves_snr_db, self.n_relays))
 
     def to_dict(self) -> dict:
-        return {
-            "snr_grid_db": list(self.snr_grid_db),
-            "rates": list(self.rates),
-            "schemes": [s.label for s in self.schemes],
-            "n_relays": self.n_relays,
-            "power_split_sr": list(self.power_split_sr)
-            if isinstance(self.power_split_sr, tuple)
-            else self.power_split_sr,
-            "eaves_snr_db": list(self.eaves_snr_db)
-            if isinstance(self.eaves_snr_db, tuple)
-            else self.eaves_snr_db,
-            "mc_trials": self.mc_trials,
-            "seed": self.seed,
-            "fixed_hop": {"which": self.fixed_hop.which, "snr_db": self.fixed_hop.snr_db}
-            if self.fixed_hop
-            else None,
-        }
+        """The spec as JSON data, field by field: tuples become lists and
+        schemes their labels."""
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return [plain(v) for v in value]
+            if isinstance(value, SelectionScheme):
+                return value.label
+            return asdict(value) if isinstance(value, FixedHop) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -246,7 +235,7 @@ def _build_config(
     if spec.fixed_hop is None:
         sr_rate, rd_rate = split_total_snr(db_to_linear(grid_db), split)
     else:
-        pinned = 1.0 / db_to_linear(spec.fixed_hop.snr_db)
+        pinned = spec.fixed_hop.rate
         varying = 1.0 / db_to_linear(grid_db)
         if spec.fixed_hop.which == "SR":
             sr_rate, rd_rate = pinned, varying
@@ -271,17 +260,12 @@ def _asymptote_columns(
         if balanced:
             res = asymp_single_balanced(eves[k], rho, 2.0 / composite)
             return res.value, None
-        pinned = (
-            cfg.relays[k].sr_rate if spec.fixed_hop.which == "SR" else cfg.relays[k].rd_rate
-        )
-        res = asymp_single_unbalanced(pinned, eves[k], rho, db_to_linear(grid_db))
+        res = asymp_single_unbalanced(spec.fixed_hop.rate, eves[k], rho, db_to_linear(grid_db))
         return res.value, res.floor
     if scheme.kind == "OS":
         if balanced:
             return asymp_os_balanced(eves, rho, 2.0 / composite).value, None
-        pinned = [
-            r.sr_rate if spec.fixed_hop.which == "SR" else r.rd_rate for r in cfg.relays
-        ]
+        pinned = [spec.fixed_hop.rate] * cfg.n_relays
         return None, asymp_os_unbalanced_floor(pinned, eves, rho).floor
     if scheme.kind == "TS" and balanced:
         return asymp_ts_balanced(eves, rho, 1.0 / composite).value, None

@@ -19,7 +19,9 @@ from relaysec import (
     closedform,
     outage_for_scheme,
     run_sweep,
+    sweep,
 )
+from relaysec.sweep import render_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -82,3 +84,17 @@ def test_sweep_and_simulator_hooks_fire_on_a_simulated_sweep(perfbench, monkeypa
     for args in mc_args:
         assert isinstance(args[1], SelectionScheme)
         assert type(args[2]) is int
+
+
+@pytest.mark.parametrize("trials", [0, 500], ids=["closed-form", "simulated"])
+def test_cell_clock_times_one_sweep_row_per_csv_row(perfbench, monkeypatch, trials):
+    # The untraced latency metrics come from `perfbench/worker.py`'s CellClock,
+    # which replaces sweep.SweepRow and times the gaps between constructions.
+    worker = importlib.import_module("worker")
+    monkeypatch.setattr(sweep, "SweepRow", sweep.SweepRow)  # restored afterwards
+    clock = worker.CellClock(sweep)
+    clock.start()
+    spec = SweepSpec(snr_grid_db=(0.0, 10.0, 20.0), rates=(0.5, 1.0), schemes=ALL_SCHEMES,
+                     n_relays=2, eaves_snr_db=(0.0, 3.0), mc_trials=trials, seed=1)
+    csv_rows = render_csv(run_sweep(spec)).splitlines()[1:]
+    assert len(clock.latencies) == len(csv_rows) == 6 * 2 * 3

@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import threading
 from concurrent.futures import Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,21 +287,56 @@ class TestFirstMax:
     def test_metrics_at_the_rate_bound_hold_no_nan(self, scheme):
         # Hops at the smallest simulated rate give link SNRs up to about
         # DBL_MAX, and eavesdropper rates over 600 decades push OS's ratio
-        # and SS-RE's product to their extremes; SS-RE's overflows to +inf.
-        edge, n, rows = montecarlo._MIN_LINK_RATE, 5, 4_096
-        eves = np.geomspace(1e-300, 1e300, n)
-        cfgs = [
-            SystemConfig(tuple(RelayLinkParams(edge * m, edge * m, e) for e in eves[::order]), 0.5)
-            for m in (1.0, 2.0, 3.0, 100.0) for order in (1, -1)
-        ]
-        neg_rates = montecarlo._neg_rates(cfgs)
+        # and SS-RE's product to their extremes; neither leaves float64.
+        cfgs, n, rows = rate_bound_configs(), 5, 4_096
+        curve = montecarlo._Curve(scheme, cfgs, rows)
         planes = np.empty((2, len(cfgs), n, rows))
         for b in range(3):
-            _, u = next(montecarlo._chunks(block_generator(5, b), np.empty((rows, n, 3)), rows))
-            links = np.log(u).transpose(2, 1, 0).copy()
-            with np.errstate(over="ignore"):
-                metric = montecarlo._metric(scheme, links, neg_rates, -neg_rates[2, :, :, None], *planes)
-            assert not np.isnan(metric).any(), (scheme.label, b)
+            links = rate_bound_links(b, n, rows)
+            metric = montecarlo._metric(scheme, links, curve.neg_rates, curve.eve_weights, *planes)
+            assert np.isfinite(metric).all(), (scheme.label, b)
+
+    def test_ss_re_picks_the_exact_maximum_at_the_rate_bound(self):
+        # min(sr, rd) * eve_rate passes DBL_MAX on these configs; the pick
+        # must still be the first maximum of the exact rational products.
+        cfgs, n, rows = rate_bound_configs(), 5, 2_000
+        curve = montecarlo._Curve(SS_RE, cfgs, rows)
+        links = rate_bound_links(0, n, rows)
+        planes = np.empty((2, len(cfgs), n, rows))
+        metric = montecarlo._metric(SS_RE, links, curve.neg_rates, curve.eve_weights, *planes)
+        picks = montecarlo._first_max(
+            metric, np.empty((len(cfgs), rows)), np.empty((len(cfgs), rows), dtype=np.intp),
+            *np.empty((2, len(cfgs), rows), dtype=bool),
+        )
+        main = np.minimum(links[0] / curve.neg_rates[0, :, :, None],
+                          links[1] / curve.neg_rates[1, :, :, None])
+        wrong = 0
+        for c, cfg in enumerate(cfgs):
+            weights = [Fraction(r.eve_rate) for r in cfg.relays]
+            for t in range(rows):
+                exact = [Fraction(m) * w for m, w in zip(main[c, :, t].tolist(), weights)]
+                wrong += int(picks[c, t]) != exact.index(max(exact))
+            # apply_selection scales its weights the same way.
+            real = make_real(main[c, :, 0], main[c, :, 0], [0.0] * n)
+            assert apply_selection(SS_RE, cfg, real) == picks[c, 0] + 1
+        assert wrong == 0
+
+
+def rate_bound_configs():
+    """Eight 5-relay configs with every hop at or near the smallest simulated
+    link rate and eavesdropper rates from 1e-300 to 1e300, both orders."""
+    edge = montecarlo._MIN_LINK_RATE
+    eves = np.geomspace(1e-300, 1e300, 5)
+    return tuple(
+        SystemConfig(tuple(RelayLinkParams(edge * m, edge * m, e) for e in eves[::order]), 0.5)
+        for m in (1.0, 2.0, 3.0, 100.0) for order in (1, -1)
+    )
+
+
+def rate_bound_links(block, n, rows):
+    """ln(U) of the first `rows` trials of seed 5's block, laid out (3, n, rows)."""
+    _, u = next(montecarlo._chunks(block_generator(5, block), np.empty((rows, n, 3)), rows))
+    return np.log(u).transpose(2, 1, 0).copy()
 
 
 class TestPathwiseDominance:

@@ -1,24 +1,26 @@
 import importlib
 import math
 import pkgutil
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import relaysec
 from relaysec import (
+    ALL_SCHEMES,
     ConfigError,
-    DecibelValue,
     RelayLinkParams,
     SelectionScheme,
     SystemConfig,
     db_to_linear,
-    linear_to_db,
+    outage_for_scheme,
     parse_scheme,
     rho_of_rate,
     single,
     split_total_snr,
 )
+from relaysec import params
 
 
 class TestRhoOfRate:
@@ -48,16 +50,13 @@ class TestDecibels:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         for db in rng.uniform(-60, 60, size=200):
-            back = linear_to_db(db_to_linear(db))
+            back = 10.0 * math.log10(db_to_linear(db))
             assert back == pytest.approx(db, rel=1e-12, abs=1e-12)
-        v = DecibelValue(7.3)
-        assert DecibelValue.from_linear(v.linear).value_db == pytest.approx(7.3, rel=1e-12)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ConfigError):
-            db_to_linear(math.inf)
-        with pytest.raises(ConfigError):
-            DecibelValue(math.nan)
+        for db in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="must be finite"):
+                db_to_linear(db)
 
     @pytest.mark.parametrize("db", [3200.0, -3300.0], ids=["overflow", "underflow"])
     def test_rejects_a_ratio_outside_float64(self, db):
@@ -119,6 +118,29 @@ class TestSystemConfig:
         cfg = SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.25)
         assert cfg.rho == pytest.approx(2.0**0.5)
         assert cfg.rho > 1.0
+
+    def test_rho_is_derived_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(rate_rs):
+            calls.append(rate_rs)
+            return rho_of_rate(rate_rs)
+
+        monkeypatch.setattr(params, "rho_of_rate", counted)
+        cfg = SystemConfig((RelayLinkParams(1, 1, 1), RelayLinkParams(2, 1, 3)), rate_rs=0.5)
+        for scheme in ALL_SCHEMES:
+            outage_for_scheme(cfg, scheme)
+        assert cfg.rho == 2.0 and calls == [0.5]
+        # A copy with another rate derives its own.
+        assert replace(cfg, rate_rs=1.0).rho == 4.0 and calls == [0.5, 1.0]
+
+    def test_rho_is_neither_compared_nor_shown(self):
+        cfg = SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.5)
+        assert [f.name for f in fields(cfg) if f.compare] == ["relays", "rate_rs"]
+        assert "rho" not in repr(cfg)
+        assert cfg == SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.5)
+        with pytest.raises(TypeError):
+            SystemConfig((RelayLinkParams(1, 1, 1),), rate_rs=0.5, rho=2.0)
 
     def test_rejects_empty_or_bad_rate(self):
         with pytest.raises(ConfigError):

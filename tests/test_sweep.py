@@ -105,6 +105,102 @@ class TestSweepSpecValidation:
             SweepSpec.from_dict({"snr_grid_db": [0.0], "rates": [1.0], "schemes": ["OS"], "noise": 1})
 
 
+# Spec inputs refused when the spec is built, as fields over a valid
+# one-relay spec: each also makes `relaysec sweep` exit 2.
+REFUSED_SPECS = {
+    "empty grid": {"snr_grid_db": []},
+    "unordered grid": {"snr_grid_db": [10.0, 10.0]},
+    "nan grid": {"snr_grid_db": [0.0, math.nan]},
+    "grid past float64": {"snr_grid_db": [0.0, 4000.0]},
+    "empty rates": {"rates": []},
+    "zero rate": {"rates": [0.0]},
+    "infinite rate": {"rates": [0.5, math.inf]},
+    "rate 512": {"rates": [512.0]},
+    "no schemes": {"schemes": []},
+    "unknown scheme": {"schemes": ["BEST"]},
+    "relay past n_relays": {"schemes": ["SINGLE:2"]},
+    "zero relays": {"n_relays": 0},
+    "fractional relays": {"n_relays": 2.5},
+    "split 0": {"power_split_sr": 0.0},
+    "split 1": {"power_split_sr": [1.0]},
+    "split nan": {"power_split_sr": math.nan},
+    "two splits, one rate": {"power_split_sr": [0.3, 0.7]},
+    "two eavesdroppers, one relay": {"eaves_snr_db": [0.0, 3.0]},
+    "nan eavesdropper": {"eaves_snr_db": math.nan},
+    "eavesdropper +4000 dB": {"eaves_snr_db": 4000.0},
+    "eavesdropper -4000 dB": {"eaves_snr_db": [-4000.0]},
+    "unknown pinned hop": {"fixed_hop": {"which": "SD", "snr_db": 30.0}},
+    "nan pinned hop": {"fixed_hop": {"which": "SR", "snr_db": math.nan}},
+    "pinned hop +4000 dB": {"fixed_hop": {"which": "SR", "snr_db": 4000.0}},
+    "pinned hop -4000 dB": {"fixed_hop": {"which": "RD", "snr_db": -4000.0}},
+    "pinned hop without level": {"fixed_hop": {"which": "SR"}},
+    "negative trials": {"mc_trials": -1},
+    "negative seed": {"seed": -1},
+    "seed past 64 bits": {"seed": 2**64},
+    "unknown field": {"noise": 1.0},
+}
+
+# System configs refused when built, as fields over a valid two-relay config:
+# each makes `relaysec outage` exit 2.
+REFUSED_CONFIGS = {
+    "no relays": {"relays": []},
+    "zero rate": {"rate_rs": 0.0},
+    "rate 512": {"rate_rs": 512.0},
+    "nan rate": {"rate_rs": math.nan},
+    "hop past float64": {"relays": [{"sr_snr_db": 3200.0, "rd_snr_db": 0.0, "eve_snr_db": 0.0}]},
+    "eavesdropper below float64": {
+        "relays": [{"sr_snr_db": 0.0, "rd_snr_db": 0.0, "eve_snr_db": -3300.0}]},
+    "relay without eavesdropper": {"relays": [{"sr_snr_db": 0.0, "rd_snr_db": 0.0}]},
+    "missing rate": {"rate_rs": None},
+}
+
+
+class TestRefusals:
+    """Every input is refused where it enters, and the CLI exits 2 for it."""
+
+    @pytest.mark.parametrize("fields", REFUSED_SPECS.values(), ids=REFUSED_SPECS)
+    def test_spec_is_refused_when_built(self, tmp_path, capsys, fields):
+        spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], **fields}
+        with pytest.raises(ConfigError):
+            SweepSpec.from_dict(spec)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
+    def test_system_config_is_refused(self, tmp_path, capsys, fields):
+        relays = [{"sr_snr_db": 10.0, "rd_snr_db": 10.0, "eve_snr_db": 3.0}] * 2
+        cfg = {k: v for k, v in {"relays": relays, "rate_rs": 0.5, **fields}.items()
+               if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (["outage"], ["simulate", "--trials", "10", "--seed", "1"]):
+            assert main(argv + ["--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "6", "3", "0.5"],  # the eavesdropper got worse
+        ["gap", "3", "6", "0"],
+        ["gap", "3", "6", "600"],
+        ["gap", "nan", "6", "0.5"],
+        ["gap", "3", "4000", "0.5"],
+        ["simulate", "--trials", "0", "--seed", "1"],
+        ["simulate", "--trials", "10", "--seed", "-1"],
+        ["simulate", "--trials", "10", "--seed", "1", "--scheme", "SINGLE:3"],
+    ], ids=" ".join)
+    def test_cli_value_exits_2(self, tmp_path, capsys, argv):
+        if argv[0] == "simulate":
+            path = tmp_path / "cfg.json"
+            relays = [{"sr_snr_db": 10.0, "rd_snr_db": 10.0, "eve_snr_db": 3.0}] * 2
+            path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestRunSweep:
     def test_single_relay_rows_carry_closed_form_and_expansion(self):
         rows = run_sweep(single_relay_spec())
