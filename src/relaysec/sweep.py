@@ -80,12 +80,21 @@ class FixedHop:
     def __post_init__(self) -> None:
         if self.which not in ("SR", "RD"):
             raise ConfigError(f"fixed_hop.which must be 'SR' or 'RD', got {self.which!r}")
-        db_to_linear(self.snr_db)
+        _check_db("fixed_hop.snr_db", (self.snr_db,))
 
     @property
     def rate(self) -> float:
         """Exponential rate of the pinned hop."""
         return 1.0 / db_to_linear(self.snr_db)
+
+
+def _check_db(name: str, levels: Sequence[float]) -> None:
+    """Refuse a dB level that db_to_linear refuses, naming the field."""
+    for db in levels:
+        try:
+            db_to_linear(db)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _ascending(name: str, values: Sequence[float]) -> tuple[float, ...]:
@@ -155,8 +164,8 @@ class SweepSpec:
                 raise ConfigError(f"power_split_sr must lie in (0, 1), got {f!r}")
         object.__setattr__(self, "eaves_snr_db", _scalar_or_each(
             "eaves_snr_db", self.eaves_snr_db, self.n_relays, "relay"))
-        for db in self.snr_grid_db + _each(self.eaves_snr_db, self.n_relays):
-            db_to_linear(db)
+        _check_db("snr_grid_db", self.snr_grid_db)
+        _check_db("eaves_snr_db", _each(self.eaves_snr_db, self.n_relays))
         object.__setattr__(self, "mc_trials", _require_int("mc_trials", self.mc_trials, 0))
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.fixed_hop is not None and not isinstance(self.fixed_hop, FixedHop):
@@ -229,9 +238,9 @@ def _cell_seed(seed: int, scheme_label: str) -> int:
 
 
 def _build_config(
-    spec: SweepSpec, rate: float, split: float, grid_db: float
+    spec: SweepSpec, eves: Sequence[float], rate: float, split: float, grid_db: float
 ) -> SystemConfig:
-    eves = spec.eve_rates()
+    """One cell's config, with `eves` the spec's eavesdropper rates."""
     if spec.fixed_hop is None:
         sr_rate, rd_rate = split_total_snr(db_to_linear(grid_db), split)
     else:
@@ -286,8 +295,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         for ri, rate in enumerate(spec.rates)
         for grid_db in spec.snr_grid_db
     ]
+    eves = spec.eve_rates()
     for scheme in spec.schemes:
-        cfgs = (_build_config(spec, *cell) for cell in cells)
+        cfgs = (_build_config(spec, eves, *cell) for cell in cells)
         estimates = None
         if spec.mc_trials > 0:
             # The simulation takes every cell at once; without it each config

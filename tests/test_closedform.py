@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -355,10 +356,12 @@ class TestMonotonicity:
 
 
 def spread_config(n, snr_db, rate=0.5):
-    """n relays near snr_db on both hops, eavesdroppers spread over 0-9 dB."""
+    """n relays near snr_db on both hops, eavesdroppers spread over 0-9 dB
+    (a lone relay sits at snr_db, its eavesdropper at 0 dB)."""
+    span = max(n - 1, 1)
     relays = tuple(
         RelayLinkParams.from_mean_snr_db(
-            snr_db + 0.3 * i / (n - 1), snr_db - 0.2 * i / (n - 1), 9.0 * i / (n - 1)
+            snr_db + 0.3 * i / span, snr_db - 0.2 * i / span, 9.0 * i / span
         )
         for i in range(n)
     )
@@ -649,3 +652,42 @@ class TestBatchedIntegralReference:
         assert {2, 5, 6, 8} <= sizes
         assert len(cells) < 4 * len(configs)
         self.assert_matches_relay_by_relay(cells)
+
+
+def rho_one_and_rate_511_configs() -> list[SystemConfig]:
+    """TestBatchedIntegralReference.test_rho_one_and_rate_511's configs."""
+    rng = np.random.default_rng(17)
+    configs = []
+    for n in (2, 7, 12):
+        base = random_config(rng, n, snr_lo=-10.0, snr_hi=-4.0)
+        configs += [SystemConfig(base.relays, rate) for rate in (1e-17, 511.0)]
+    return configs
+
+
+class TestCellIntegralBits:
+    """sha256 of every T_k that _cell_integrals returns while TS, SS-RE, SS-RD
+    and SS-SR integrate a fixed set of cells (an infinite guard integrates the
+    summed ones too), recorded before its body was rewritten for speed.  The
+    fsum'd p_closed digests elsewhere can hide a moved T_k bit; this cannot."""
+
+    CASES = {
+        "spread-n1-10-0-80dB": (
+            lambda: [spread_config(n, float(db)) for n in range(1, 11) for db in range(0, 81, 10)],
+            360,
+            "6483fd21fa8e26ee7bb4fe1e018e7b43be46ee9f9e523685b41e26ca6dee3803",
+        ),
+        "rho-one-and-rate-511": (rho_one_and_rate_511_configs, 24,
+                                 "310d8e546c45784961551930248fb4e55f63338ca3440108015e4a34b137dc4a"),
+        # SS-RE's kinks eve_rate_k*(rho-1) are distinct over 0-9 dB eavesdroppers.
+        "n32-distinct-kinks": (lambda: [spread_config(32, 40.0)], 4,
+                               "0ca23b9a9a561551620faad1f2a1133c74b41aa21cfb57cf19be4fa9e9c9c6bf"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_digest(self, case, monkeypatch):
+        build, count, expected = self.CASES[case]
+        monkeypatch.setattr(closedform, "_CANCEL_GUARD", math.inf)
+        cells = integrated_cells(monkeypatch, build())
+        assert len(cells) == count
+        digest = hashlib.sha256(b"".join(got.tobytes() for _, _, got in cells)).hexdigest()
+        assert digest == expected

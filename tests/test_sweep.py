@@ -140,6 +140,23 @@ REFUSED_SPECS = {
     "unknown field": {"noise": 1.0},
 }
 
+# Each dB level a sweep spec takes, as fields over a valid one-relay spec that
+# put `level` in it: scalar and list forms, a bad entry first or later.
+DB_FIELD_FORMS = {
+    "snr_grid_db": [
+        lambda level: {"snr_grid_db": [level]},
+        # The grid ascends, so a level below the float64 range leads it.
+        lambda level: {"snr_grid_db": [level, 0.0] if level < 0.0 else [0.0, level]},
+    ],
+    "eaves_snr_db": [
+        lambda level: {"eaves_snr_db": level},
+        lambda level: {"eaves_snr_db": [level]},
+        lambda level: {"n_relays": 2, "eaves_snr_db": [0.0, level]},
+    ],
+    "fixed_hop.snr_db": [lambda level: {"fixed_hop": {"which": "SR", "snr_db": level}}],
+}
+
+
 # System configs refused when built, as fields over a valid two-relay config:
 # each makes `relaysec outage` exit 2.
 REFUSED_CONFIGS = {
@@ -169,6 +186,24 @@ class TestRefusals:
         assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", DB_FIELD_FORMS)
+    @pytest.mark.parametrize("level, reason", [
+        (math.nan, "dB value must be finite, got nan"),
+        (4000.0, "dB value 4000.0 is outside the float64 range"),
+        (-4000.0, "dB value -4000.0 is outside the float64 range"),
+    ], ids=["nan", "+4000", "-4000"])
+    def test_db_level_error_names_its_field(self, tmp_path, capsys, field, level, reason):
+        message = f"{field}: {reason}"
+        for form in DB_FIELD_FORMS[field]:
+            spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], **form(level)}
+            with pytest.raises(ConfigError) as refused:
+                SweepSpec.from_dict(spec)
+            assert str(refused.value) == message, spec
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n", spec
 
     @pytest.mark.parametrize("fields", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
     def test_system_config_is_refused(self, tmp_path, capsys, fields):
@@ -289,11 +324,12 @@ class TestCurveSimulation:
         rows = run_sweep(self.spec)
         cells = [(rate, self.spec.split_for_rate(ri), db)
                  for ri, rate in enumerate(self.spec.rates) for db in self.spec.snr_grid_db]
+        eves = self.spec.eve_rates()
         assert len(calls) == len(self.spec.schemes)
         for (cfgs, scheme, trials, seed), expected in zip(calls, self.spec.schemes):
             assert scheme == expected and trials == 700
             # Rate-major, so the first rate's cells come first.
-            assert list(cfgs) == [_build_config(self.spec, *cell) for cell in cells]
+            assert list(cfgs) == [_build_config(self.spec, eves, *cell) for cell in cells]
             # The seed the scheme's first cell had on its own substream.
             text = f"11:{scheme.label}:0:0".encode()
             assert seed == _cell_seed(11, scheme.label)
@@ -307,7 +343,8 @@ class TestCurveSimulation:
     def test_cells_match_single_config_calls_at_the_scheme_seed(self):
         for k, row in enumerate(run_sweep(self.spec)):
             ri = self.spec.rates.index(row.rate_rs)
-            cfg = _build_config(self.spec, row.rate_rs, self.spec.split_for_rate(ri), row.snr_db)
+            cfg = _build_config(self.spec, self.spec.eve_rates(), row.rate_rs,
+                                self.spec.split_for_rate(ri), row.snr_db)
             est = simulate_outage(cfg, parse_scheme(row.scheme), 700, _cell_seed(11, row.scheme))
             assert (row.p_mc, row.mc_stderr) == (est.p_hat, est.std_err), k
 
