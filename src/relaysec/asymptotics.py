@@ -6,7 +6,8 @@ hop is pinned while the other grows; the outage then saturates at a floor
 set entirely by the pinned hop and the eavesdropper statistics.
 
 Expansion values are returned as-is even where they exceed 1 (the expansion
-is only meaningful at high SNR); callers decide how to present that.
+is only meaningful at high SNR); callers decide how to present that.  rho is
+checked as the closed forms check it: rho = 1 gives the zero-rate limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import _kernel
+from .closedform import _check_rho, _kernel
 from .params import ConfigError, _require_positive_finite
 
 __all__ = [
@@ -40,13 +41,6 @@ class AsymptoteResult:
     value: float
     slope_order: int
     floor: float | None = None
-
-
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 1.0:
-        raise ConfigError(f"rho must be finite and > 1, got {rho!r}")
-    return rho
 
 
 def asymp_single_balanced(eve_rate: float, rho: float, mean_snr: float) -> AsymptoteResult:

@@ -51,7 +51,7 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -75,17 +75,6 @@ def _system_config(data: dict) -> SystemConfig:
         raise ConfigError(f"malformed system config: {exc}") from exc
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
-
-
-class _IOFailure(Exception):
-    pass
-
-
 def _variant_path(base: Path, label: str) -> Path:
     if not label:
         return base
@@ -101,7 +90,7 @@ def _cmd_outage(args: argparse.Namespace) -> int:
         lines.append(f"{scheme.label}\t{result.p!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(Path(args.out), text)
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -125,7 +114,7 @@ def _run_family(family: tuple[tuple[str, SweepSpec], ...], out: str) -> int:
     for label, spec in family:
         rows = run_sweep(spec)
         path = _variant_path(base, label)
-        _write_text(path, render_csv(rows))
+        path.write_text(render_csv(rows), encoding="utf-8", newline="")
         written.append(str(path))
         manifest = run_manifest(spec, __version__, rows)
         manifest["label"] = label
@@ -133,7 +122,8 @@ def _run_family(family: tuple[tuple[str, SweepSpec], ...], out: str) -> int:
         manifests.append(manifest)
     manifest_path = base.with_name(f"{base.stem}.manifest.json")
     payload = manifests[0] if len(manifests) == 1 else {"variants": manifests}
-    _write_text(manifest_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    manifest_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    manifest_path.write_text(manifest_text, encoding="utf-8", newline="")
     for path in written + [str(manifest_path)]:
         sys.stdout.write(f"wrote {path}\n")
     return EXIT_OK
@@ -162,20 +152,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
-    try:
-        with open(args.csv, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {args.csv}: {exc}") from exc
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for row in rows:
-        try:
-            key = (row["scheme"], row["rate_rs"])
-            point = (float(row["snr_db"]), float(row["p_closed"]))
+    with open(args.csv, encoding="utf-8", newline="") as fh:
+        try:  # a decoding error is a ValueError too
+            for row in csv.DictReader(fh):
+                key = (row["scheme"], row["rate_rs"])
+                point = (float(row["snr_db"]), float(row["p_closed"]))
+                groups.setdefault(key, []).append(point)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{args.csv} is not a sweep CSV: {exc}") from exc
-        groups.setdefault(key, []).append(point)
     lines = []
     for (scheme, rate), points in sorted(groups.items()):
         points.sort()
@@ -263,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CancellationError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _IOFailure as exc:
+    except OSError as exc:  # a file or a standard stream
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -214,8 +214,8 @@ def apply_selection(
 ) -> int:
     """1-based index of the relay the scheme picks; ties break to the lowest.
 
-    Runs the simulator's metric and first-maximum on a one-trial, one-config
-    block, the realization read as ln(U) over unit negated rates.
+    Runs the simulator's metric and first-maximum on the realization, read as
+    ln(U) over unit negated rates, as a one-trial chunk of this thread's workspace.
     """
     scheme.validate_for(cfg)
     if realization.n_relays != cfg.n_relays:
@@ -223,13 +223,11 @@ def apply_selection(
     picks = _fixed_picks(scheme, (cfg,))
     if picks is not None:
         return int(picks[0]) + 1
-    r, n = realization, cfg.n_relays
-    links = np.array([r.gamma_sr, r.gamma_rd, r.gamma_eve], dtype=np.float64)[:, :, None]
-    planes = np.empty((2, 1, n, 1))
-    weights = _eve_weights(_neg_rates((cfg,)))
-    metric = _metric(scheme, links, np.ones((3, 1, n)), weights, *planes)
-    top, bools = np.empty((1, 1)), np.empty((2, 1, 1), dtype=bool)
-    return int(_first_max(metric, top, np.empty((1, 1), np.intp), *bools)[0, 0]) + 1
+    r, ws = realization, _workspace(1, cfg.n_relays, 1)
+    ws.links[:, :, 0] = (r.gamma_sr, r.gamma_rd, r.gamma_eve)
+    unit = np.ones((3, 1, cfg.n_relays))
+    metric = _metric(scheme, ws.links, unit, _eve_weights(_neg_rates((cfg,))), ws.a, ws.b)
+    return int(_first_max(metric, ws.top, ws.idx, ws.run, ws.ne)[0, 0]) + 1
 
 
 def _link(links: np.ndarray, neg_rates: np.ndarray, link: int, out: np.ndarray) -> np.ndarray:

@@ -156,6 +156,8 @@ class SweepSpec:
                 raise ConfigError(f"schemes entries must be SelectionScheme, got {s!r}")
             if s.kind == "SINGLE" and s.relay > self.n_relays:
                 raise ConfigError(f"scheme {s.label} exceeds n_relays={self.n_relays}")
+        if len(set(schemes)) < len(schemes):
+            raise ConfigError(f"schemes must not repeat: {[s.label for s in schemes]}")
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "power_split_sr", _scalar_or_each(
             "power_split_sr", self.power_split_sr, len(self.rates), "rate"))

@@ -28,6 +28,43 @@ def balanced_config(n, hop_rate, eve_rate, rate_rs):
     return SystemConfig(relays, rate_rs)
 
 
+# Each expansion as a function of rho alone, every other input fixed.
+EXPANSIONS = {
+    "asymp_single_balanced": lambda rho: asymp_single_balanced(0.5, rho, 100.0),
+    "asymp_single_unbalanced": lambda rho: asymp_single_unbalanced(0.2, 0.5, rho, 100.0),
+    "asymp_os_balanced": lambda rho: asymp_os_balanced([0.5, 2.0], rho, 100.0),
+    "asymp_os_unbalanced_floor": lambda rho: asymp_os_unbalanced_floor([0.2, 0.3], [0.5, 2.0], rho),
+    "asymp_ts_balanced": lambda rho: asymp_ts_balanced([0.5, 2.0], rho, 100.0),
+    "snr_gap_db": lambda rho: snr_gap_db(2.0, 0.5, rho),
+}
+
+
+class TestRhoRule:
+    """The expansions take rho as the closed forms do: finite and >= 1, where
+    rho = 1 is the zero-rate limit."""
+
+    @pytest.mark.parametrize("rho", [0.5, math.nan, math.inf], ids=["0.5", "nan", "inf"])
+    @pytest.mark.parametrize("name", EXPANSIONS)
+    def test_refuses_rho_outside_the_range(self, name, rho):
+        with pytest.raises(ConfigError, match="rho must be finite and >= 1"):
+            EXPANSIONS[name](rho)
+
+    def test_rho_one_gives_the_zero_rate_limit(self):
+        a, b, m = 0.5, 0.2, 100.0
+        assert EXPANSIONS["asymp_single_balanced"](1.0).value == pytest.approx(2.0 / (m * a))
+        unbalanced = EXPANSIONS["asymp_single_unbalanced"](1.0)
+        assert unbalanced.floor == b / (b + a)
+        assert unbalanced.value == pytest.approx(b / (b + a) + 1.0 / ((b + a) * m))
+        assert EXPANSIONS["asymp_os_balanced"](1.0).value == pytest.approx(
+            (2.0 / (m * a)) * (2.0 / (m * 2.0)))
+        assert EXPANSIONS["asymp_os_unbalanced_floor"](1.0).floor == pytest.approx(
+            (b / (b + a)) * (0.3 / 2.3))
+        # Only the j = 0 term survives: (1/m)^N * sum_k N! / a_k^N.
+        assert EXPANSIONS["asymp_ts_balanced"](1.0).value == pytest.approx(
+            m**-2 * (2.0 / a**2 + 2.0 / 2.0**2))
+        assert EXPANSIONS["snr_gap_db"](1.0) == pytest.approx(10 * math.log10(2.0 / 0.5))
+
+
 class TestSingleBalanced:
     def test_hand_value(self):
         res = asymp_single_balanced(0.5, 2.0, 100.0)

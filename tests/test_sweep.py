@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import relaysec
 from relaysec import (
     ALL_SCHEMES,
+    TS,
     RelayLinkParams,
     SweepSpec,
     SystemConfig,
@@ -81,6 +83,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             single_relay_spec(schemes=(single(2),))
 
+    def test_rejects_a_repeated_scheme(self):
+        with pytest.raises(ConfigError, match=r"schemes must not repeat: \['TS', 'TS'\]"):
+            single_relay_spec(schemes=(TS, TS))
+
     def test_round_trips_through_dict(self):
         spec = SweepSpec(
             snr_grid_db=(0.0, 10.0),
@@ -118,6 +124,7 @@ REFUSED_SPECS = {
     "rate 512": {"rates": [512.0]},
     "no schemes": {"schemes": []},
     "unknown scheme": {"schemes": ["BEST"]},
+    "repeated scheme": {"schemes": ["TS", "ts", "OS"]},
     "relay past n_relays": {"schemes": ["SINGLE:2"]},
     "zero relays": {"n_relays": 0},
     "fractional relays": {"n_relays": 2.5},
@@ -796,3 +803,61 @@ class TestCli:
         )
         dest = tmp_path / "no-such-dir" / "x.csv"
         assert main(["sweep", "--config", str(spec_path), "--out", str(dest)]) == 4
+        assert str(dest) in capsys.readouterr().err
+
+    def test_outage_out_writes_the_file(self, tmp_path, capsys):
+        dest = tmp_path / "outage.txt"
+        assert main(["outage", "--config", str(self.write_config(tmp_path)), "--out", str(dest)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = dict(line.split("\t") for line in dest.read_text().strip().splitlines())
+        assert set(lines) == {"OS", "TS", "SS-RE", "SS-RD", "SS-SR", "PS", "SINGLE:1", "SINGLE:2"}
+
+    def test_outage_out_in_a_missing_directory_exits_4(self, tmp_path, capsys):
+        dest = tmp_path / "no-such-dir" / "outage.txt"
+        assert main(["outage", "--config", str(self.write_config(tmp_path)), "--out", str(dest)]) == 4
+        assert str(dest) in capsys.readouterr().err
+
+    def test_diversity_on_a_missing_file_exits_4(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert main(["diversity", str(missing)]) == 4
+        assert str(missing) in capsys.readouterr().err
+
+    def test_diversity_on_a_csv_that_is_not_a_sweep_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "other.csv"
+        path.write_text("a,b\n1,2\n")
+        assert main(["diversity", str(path)]) == 2
+        assert f"{path} is not a sweep CSV" in capsys.readouterr().err
+
+    def test_diversity_without_two_positive_points_prints_n_a(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("scheme,rate_rs,snr_db,p_closed\nTS,0.5,10.0,0.1\nTS,0.5,20.0,0.0\n")
+        assert main(["diversity", str(path)]) == 0
+        assert capsys.readouterr().out == "TS\t0.5\tn/a\n"
+
+    def test_json_array_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert main(["outage", "--config", str(path)]) == 2
+        assert f"config {path} must hold a JSON object" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_4(self, capsys, monkeypatch):
+        class ClosedStdout:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main(["gap", "0", "3", "0.5"]) == 4
+        assert "Broken pipe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["outage", "sweep", "diversity"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        argv = {
+            "outage": ["outage", "--config", str(path)],
+            "sweep": ["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")],
+            "diversity": ["diversity", str(path)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
