@@ -245,8 +245,15 @@ def _cell_integrals(
     d = cfg.rho - 1.0
     w = np.array(weights)[:, None]
     scale = np.array(couple_scales)
-    g = np.array([r.main_rate for r in cfg.relays]) - select_rates
+    main = [r.main_rate for r in cfg.relays]
+    g = np.array(main) - select_rates
     q = np.array([r.eve_rate for r in cfg.relays]) / cfg.rho
+    # A main rate past the largest double is a main SNR of 0, where h_k is 1
+    # for every x, its limit as g_k -> inf: that kink moves out of reach, and
+    # a finite stand-in for g_k keeps inf/inf out of the unread factors.
+    lost = np.isinf(g) if math.inf in main else None
+    if lost is not None:
+        g[lost] = 0.0
     # Near rate_rs 512, g*d, kink_k and w_i*m overflow to inf; the factors
     # e^{-inf} = 0 and 1 - e^{-inf} = 1 are the intended limits.
     with np.errstate(over="ignore"):
@@ -254,6 +261,8 @@ def _cell_integrals(
         k_far = np.exp(-g * d) * q / delta
         floor = (g - q * np.expm1(-g * d)) / delta
         kinks = scale * d
+        if lost is not None:
+            kinks[lost] = math.inf
         decay = delta / scale
         widths = {0.0: 1.0 / fast}
         for kink, rate in zip(kinks.tolist(), decay.tolist()):

@@ -37,9 +37,12 @@ draw would redraw it.  Every config of the call is scored on the chunk at
 once: the link SNRs the scheme compares are laid out (config, relay, trial),
 the selected relay is the first maximum over the relay axis (PS and a pinned
 relay have fixed picks), and only its links are gathered into SNRs for the
-outage test.  The rows per chunk keep a thread's workspace (the chunk's
-ln(U), two link planes per config and the per-trial scratch) within
-4 * BLOCK_SIZE * N doubles; when one trial's row of every config would not
+outage test.  The rows per chunk keep a thread's workspace within
+4 * BLOCK_SIZE * N doubles, and each rule is charged only for what it holds:
+the chunk's uniforms and ln(U), the link planes it compares per config (none
+for PS and a pinned relay, one for SS-RD and SS-SR, two for the others) and
+a few per-trial arrays, the gather's among them reusing the metric's plane
+once the maximum is found.  When one trial's row of every config would not
 fit, each group of configs that does fit makes its own pass over the blocks.
 """
 
@@ -223,7 +226,7 @@ def apply_selection(
     picks = _fixed_picks(scheme, (cfg,))
     if picks is not None:
         return int(picks[0]) + 1
-    r, ws = realization, _workspace(1, cfg.n_relays, 1)
+    r, ws = realization, _workspace(1, cfg.n_relays, 1, 2)
     ws.links[:, :, 0] = (r.gamma_sr, r.gamma_rd, r.gamma_eve)
     unit = np.ones((3, 1, cfg.n_relays))
     metric = _metric(scheme, ws.links, unit, _eve_weights(_neg_rates((cfg,))), ws.a, ws.b)
@@ -244,23 +247,26 @@ def _metric(
     a: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
-    """The quantity the scheme maximises over relays, (configs, n, r), in a
-    or b; only the link planes it compares are divided."""
+    """The quantity the scheme maximises over relays, (configs, n, r): in a
+    for SS-RD and SS-SR, which hold one plane (b may be None), and in b for
+    the others; only the link planes it compares are divided.  OS leaves
+    1 + main SNR in a, and SS-RE the main SNR."""
     kind = scheme.kind
     if kind in ("SS-RD", "SS-SR"):
         return _link(links, neg_rates, 1 if kind == "SS-RD" else 0, a)
-    metric = np.minimum(_link(links, neg_rates, 0, a), _link(links, neg_rates, 1, b), out=a)
-    if kind == "OS":
-        # (1 + main) / (1 + eve), clipped at 1 as the secrecy rate clips at
-        # zero: every zero-rate branch ties, so the lowest index wins among them.
-        metric += 1.0
-        eve = _link(links, neg_rates, 2, b)
-        eve += 1.0
-        metric /= eve
-        np.maximum(metric, 1.0, out=metric)
-    elif kind == "SS-RE":
-        metric *= eve_weights
-    return metric
+    rd = _link(links, neg_rates, 1, b)
+    if kind == "TS":
+        return np.minimum(_link(links, neg_rates, 0, a), rd, out=b)
+    main = np.minimum(_link(links, neg_rates, 0, a), rd, out=a)
+    if kind == "SS-RE":
+        return np.multiply(main, eve_weights, out=b)
+    # OS: (1 + main) / (1 + eve), clipped at 1 as the secrecy rate clips at
+    # zero: every zero-rate branch ties, so the lowest index wins among them.
+    main += 1.0
+    eve = _link(links, neg_rates, 2, b)
+    eve += 1.0
+    metric = np.divide(main, eve, out=b)
+    return np.maximum(metric, 1.0, out=metric)
 
 
 def _first_max(
@@ -279,36 +285,62 @@ def _first_max(
     return idx
 
 
+# Link planes each rule holds per config: the fixed picks compare no link,
+# SS-RD and SS-SR one hop, the others two.
+_PLANES = {"PS": 0, "SINGLE": 0, "SS-RD": 1, "SS-SR": 1, "OS": 2, "TS": 2, "SS-RE": 2}
+
+
 class _Curve:
     """What every block of one pass reads: the configs' rates, the fixed
     picks, and the chunk layout."""
 
-    __slots__ = ("scheme", "n", "k", "neg_rates", "eve_weights", "rho", "picks",
-                 "rows", "trial_offsets", "config_offsets")
+    __slots__ = ("scheme", "n", "k", "neg_rates", "eve_weights", "rho", "picks", "picked_rates",
+                 "planes", "rows", "reserve", "trial_offsets", "config_offsets")
 
-    def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], rows: int):
+    def __init__(
+        self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], rows: int, reserve: int = 0
+    ):
         self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
         self.neg_rates = _neg_rates(cfgs)
         self.eve_weights = _eve_weights(self.neg_rates)
         self.rho = np.array([[c.rho] for c in cfgs], dtype=np.float64)
         self.picks = _fixed_picks(scheme, cfgs)
-        self.rows = rows
+        # Each link's negated rate of the fixed pick, (3, configs, 1).
+        self.picked_rates = (None if self.picks is None
+                             else self.neg_rates[:, np.arange(self.k), self.picks, None])
+        self.planes, self.rows, self.reserve = _PLANES[scheme.kind], rows, reserve
         # Flat offsets of a chunk's trials in one link's (n, rows) ln(U), and
         # of the configs in one link's (configs, n) rates.
         self.trial_offsets = np.arange(self.rows, dtype=np.intp)
         self.config_offsets = np.arange(self.k, dtype=np.intp)[:, None] * self.n
 
 
-def _layout(size: int, n: int, k: int) -> tuple[int, int]:
+def _holds(n: int, planes: int) -> tuple[int, int]:
+    """(configs, rows) arrays a rule holds beside its link planes: (those of
+    doubles or indices, those of bools).  The fixed picks gather into top
+    and x and write the flags.  A metric rule keeps top, idx, the two bool
+    arrays of _first_max and the flags; its gather scratch (x, tmp, pos)
+    goes in the metric plane, dead once _first_max has run, unless N < 3
+    leaves that plane too small."""
+    if planes == 0:
+        return 2, 1
+    return (2 if n >= 3 else 5), 3
+
+
+def _layout(size: int, n: int, k: int, scheme: SelectionScheme) -> tuple[int, int]:
     """(rows per chunk, configs per group) for blocks of up to `size` trials
-    and k configs of n relays.  Counted in eighths of a double, one trial's
-    row takes 48n for its uniforms and their ln(U) link-major, and 16n + 43
-    per config: two link planes (16n), five per-trial scratch arrays, the
-    index arrays among them (40), and three bool arrays (3).  All k configs
-    share a chunk while one row of them fits the workspace; beyond that, the
-    largest group that fits does, and the rest make passes of their own."""
+    and k configs of n relays under `scheme`.  Counted in eighths of a
+    double, one trial's row takes 48n for its uniforms and their ln(U)
+    link-major, and per config 8n per link plane the rule holds, and 8 or 1
+    per array of _holds.  At fig5's shape (N = 4, 26 configs) that is 3,307
+    rows for PS and a pinned relay, 1,381 for SS-RD and SS-SR and 892 for the
+    others.  All k configs share a chunk while one row of them fits the
+    workspace; beyond that, the largest group that fits does, and the rest
+    make passes of their own."""
+    planes = _PLANES[scheme.kind]
     budget = 8 * _WORKSPACE * n
-    per_config = 16 * n + 43
+    own, bools = _holds(n, planes)
+    per_config = 8 * (planes * n + own) + bools
     group = min(k, (budget - 48 * n) // per_config)
     return min(size, budget // (48 * n + group * per_config)), group
 
@@ -316,77 +348,97 @@ def _layout(size: int, n: int, k: int) -> tuple[int, int]:
 class _Views(NamedTuple):
     u: np.ndarray  # (rows, n, 3), the chunk's uniforms as drawn
     links: np.ndarray  # (3, n, rows), their ln(U) link-major
-    a: np.ndarray  # (configs, n, rows) link planes
-    b: np.ndarray
+    a: np.ndarray | None  # (configs, n, rows) link planes, those the rule holds
+    b: np.ndarray | None
     top: np.ndarray  # (configs, rows) each from here on
     x: np.ndarray
-    tmp: np.ndarray
-    idx: np.ndarray
-    pos: np.ndarray
-    run: np.ndarray
-    ne: np.ndarray
+    tmp: np.ndarray | None  # None, as are the rest but flags, for the fixed picks
+    idx: np.ndarray | None
+    pos: np.ndarray | None
+    run: np.ndarray | None
+    ne: np.ndarray | None
     flags: np.ndarray
 
 
-def _workspace(rows: int, n: int, k: int) -> _Views:
+def _workspace(rows: int, n: int, k: int, planes: int, reserve: int = 0) -> _Views:
     """This thread's chunk buffers for `rows` trials of k configs of n
-    relays: views of one flat buffer that grows to the largest need it has
-    met, at most _WORKSPACE * n doubles."""
+    relays under a rule that holds `planes` link planes: views of one flat
+    buffer that grows to the largest need it has met, or to `reserve`
+    doubles if that is more, at most _WORKSPACE * n doubles."""
     plane, per = k * n * rows, k * rows
-    ends = np.cumsum([3 * n * rows, 3 * n * rows, plane, plane] + [per] * 5)
-    need = int(ends[-1]) + -(-3 * per // 8)
+    own, bools = _holds(n, planes)
+    ends = np.cumsum([3 * n * rows] * 2 + [plane] * planes + [per] * own)
+    need = int(ends[-1]) + -(-bools * per // 8)
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < need:
-        buf = _local.buf = np.empty(need)
-    u, links, a, b, top, x, tmp, idx, pos, bools = np.split(buf[:need], ends)
-    bools = bools.view(np.bool_)[: 3 * per].reshape(3, k, rows)
+        buf = _local.buf = np.empty(max(need, reserve))
+    u, links, *parts, flat = np.split(buf[:need], ends)
+    held = [p.reshape(k, n, rows) for p in parts[:planes]]
+    arrays = [p.reshape(k, rows) for p in parts[planes:]]
+    if planes and n >= 3:
+        arrays += list(held[-1].reshape(-1)[: 3 * per].reshape(3, k, rows))
+    if planes:
+        top, idx, x, tmp, pos = arrays
+        idx, pos = idx.view(np.intp), pos.view(np.intp)
+    else:
+        (top, x), tmp, idx, pos = arrays, None, None, None
+    *checks, flags = flat.view(np.bool_)[: bools * per].reshape(bools, k, rows)
+    run, ne = checks or (None, None)
     return _Views(
-        u.reshape(rows, n, 3),
-        links.reshape(3, n, rows),
-        a.reshape(k, n, rows),
-        b.reshape(k, n, rows),
-        *(v.reshape(k, rows) for v in (top, x, tmp)),
-        *(v.view(np.intp)[:per].reshape(k, rows) for v in (idx, pos)),
-        *bools,
+        u.reshape(rows, n, 3), links.reshape(3, n, rows), *(held + [None] * (2 - planes)),
+        top, x, tmp, idx, pos, run, ne, flags,
     )
 
 
-def _score(curve: _Curve, r: int, ws: _Views, flags: np.ndarray) -> np.ndarray:
-    """Every config's outage flags on the chunk's first r trials in ws.links,
-    written to flags (configs, r)."""
-    scheme = curve.scheme
-    top, x, tmp, idx, pos = (v[:, :r] for v in (ws.top, ws.x, ws.tmp, ws.idx, ws.pos))
-    if curve.picks is None:
-        metric = _metric(
-            scheme, ws.links[:, :, :r], curve.neg_rates, curve.eve_weights,
-            ws.a[:, :, :r], ws.b[:, :, :r],
-        )
-        _first_max(metric, top, idx, ws.run[:, :r], ws.ne[:, :r])
-    else:
-        np.copyto(idx, curve.picks[:, None])
-    # Flat positions of the chosen relay in one link's ln(U) and rates.
-    np.multiply(idx, ws.links.shape[2], out=pos)
-    pos += curve.trial_offsets[:r]
-    idx += curve.config_offsets
-    flat_links, flat_rates = ws.links.reshape(3, -1), curve.neg_rates.reshape(3, -1)
+def _score(curve: _Curve, ws: _Views, flags: np.ndarray) -> np.ndarray:
+    """Every config's outage flags on the chunk's trials in ws.links,
+    written to flags (configs, rows)."""
+    kind, top, x = curve.scheme.kind, ws.top, ws.x
+    if curve.picks is not None:
 
-    def chosen(link: int, out: np.ndarray) -> np.ndarray:
-        """The chosen relay's SNR on one link, (configs, r), in out."""
-        np.take(flat_links[link], pos, out=out, mode="wrap")
-        np.take(flat_rates[link], idx, out=tmp, mode="wrap")
-        return np.divide(out, tmp, out=out)
+        def chosen(link: int, out: np.ndarray) -> np.ndarray:
+            """The fixed pick's SNR on one link, (configs, rows), in out;
+            numpy would buffer out under the default mode="raise"."""
+            np.take(ws.links[link], curve.picks, axis=0, out=out, mode="wrap")
+            return np.divide(out, curve.picked_rates[link], out=out)
 
-    # TS's maximum is the chosen main SNR, and SS-RD/SS-SR's is one hop of it.
-    if scheme.kind == "TS":
-        main = top
-    elif scheme.kind == "SS-RD":
-        main = np.minimum(chosen(0, x), top, out=top)
-    elif scheme.kind == "SS-SR":
-        main = np.minimum(top, chosen(1, x), out=top)
-    else:
         main = np.minimum(chosen(0, x), chosen(1, top), out=x)
-    main += 1.0
-    eve = chosen(2, x if main is top else top)
+        main += 1.0
+        eve = chosen(2, top)
+    else:
+        tmp, idx, pos = ws.tmp, ws.idx, ws.pos
+        metric = _metric(curve.scheme, ws.links, curve.neg_rates, curve.eve_weights, ws.a, ws.b)
+        _first_max(metric, top, idx, ws.run, ws.ne)
+        # Flat positions of the chosen relay in one link's ln(U) and rates.
+        rows = ws.links.shape[2]
+        np.multiply(idx, rows, out=pos)
+        pos += curve.trial_offsets[:rows]
+        idx += curve.config_offsets
+        flat_links, flat_rates = ws.links.reshape(3, -1), curve.neg_rates.reshape(3, -1)
+
+        def chosen(link: int, out: np.ndarray) -> np.ndarray:
+            """The chosen relay's SNR on one link, (configs, rows), in out."""
+            np.take(flat_links[link], pos, out=out, mode="wrap")
+            np.take(flat_rates[link], idx, out=tmp, mode="wrap")
+            return np.divide(out, tmp, out=out)
+
+        if kind in ("OS", "SS-RE"):
+            eve = chosen(2, top)
+            # Plane a still holds the main SNR, plus one for OS; pos moves
+            # from one link's (n, rows) ln(U) to a's (configs, n, rows).
+            pos += curve.config_offsets * rows
+            main = np.take(ws.a.reshape(-1), pos, out=x, mode="wrap")
+            if kind == "SS-RE":
+                main += 1.0
+        else:
+            # TS's maximum is the chosen main SNR, and SS-RD/SS-SR's is one hop of it.
+            if kind == "SS-RD":
+                np.minimum(chosen(0, x), top, out=top)
+            elif kind == "SS-SR":
+                np.minimum(top, chosen(1, x), out=top)
+            main = top
+            main += 1.0
+            eve = chosen(2, x)
     eve += 1.0
     eve *= curve.rho
     # C_S < R_s  <=>  (1 + main) < rho * (1 + eve) for rho > 1; the
@@ -400,14 +452,19 @@ def _block_outages(
     """Each config's outage count over block `block_index`'s `size` trials,
     drawn and scored a chunk at a time; with `out`, the one config's flags
     are also written there."""
-    ws = _workspace(min(curve.rows, size), curve.n, curve.k)
+    rows = min(curve.rows, size)
+    ws = _workspace(rows, curve.n, curve.k, curve.planes, curve.reserve)
     counts = np.zeros(curve.k, dtype=np.int64)
     for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
         r = len(u)
+        if r < rows:
+            # Only the last chunk is short: views of its length keep every
+            # array contiguous (ws.u's first r rows stay where they are).
+            ws = _workspace(r, curve.n, curve.k, curve.planes, curve.reserve)
         # In place first: a transposing log would read u without SIMD.
-        np.copyto(ws.links[:, :, :r], np.log(u, out=u).transpose(2, 1, 0))
-        dest = ws.flags[:, :r] if out is None else out[None, first : first + r]
-        counts += np.count_nonzero(_score(curve, r, ws, dest), axis=1)
+        np.copyto(ws.links, np.log(u, out=u).transpose(2, 1, 0))
+        dest = ws.flags if out is None else out[None, first : first + r]
+        counts += np.count_nonzero(_score(curve, ws, dest), axis=1)
     return counts
 
 
@@ -461,11 +518,16 @@ def _run_blocks(
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
-    rows, group = _layout(min(trials, BLOCK_SIZE), cfgs[0].n_relays, len(cfgs))
+    n = cfgs[0].n_relays
+    rows, group = _layout(min(trials, BLOCK_SIZE), n, len(cfgs), scheme)
+    # A call of more than one chunk takes the whole bound at once, so every
+    # thread's buffer has one size whatever the rule: freed buffers of
+    # differing sizes raised peak RSS.
+    reserve = _WORKSPACE * n if trials > rows else 0
     outages = np.zeros(len(cfgs), dtype=np.int64)
     # Configs that do not fit one chunk together make a pass over the blocks
     # per group, each adding its counts to its own slice of outages.
-    passes = [(_Curve(scheme, cfgs[lo : lo + group], rows), outages[lo : lo + group])
+    passes = [(_Curve(scheme, cfgs[lo : lo + group], rows, reserve), outages[lo : lo + group])
               for lo in range(0, len(cfgs), group)]
 
     def block(curve: _Curve, b: int) -> np.ndarray:

@@ -555,6 +555,21 @@ class TestSimulatorRateBound:
             assert got == pytest.approx(expected, rel=1e-11, abs=0.0), scheme.label
 
 
+class TestOverflowedMainRate:
+    """Hops near -3077 dB, where three of six relays' main rates (sr + rd)
+    pass the largest double: their main SNR is 0, every branch is in outage,
+    and the integrated single-hop rules read 1.0 without a RuntimeWarning
+    (which tier-1 raises)."""
+
+    @pytest.mark.parametrize("scheme", [SS_RD, SS_SR], ids=lambda s: s.label)
+    def test_reads_one(self, scheme):
+        cfg = SystemConfig(
+            tuple(RelayLinkParams(8e307 * (1.0 + 0.1 * k), 8e307, 9e307) for k in range(6)), 0.1
+        )
+        assert sum(math.isinf(r.main_rate) for r in cfg.relays) == 3
+        assert outage_for_scheme(cfg, scheme).p == 1.0
+
+
 class TestBatchedIntegralReference:
     """closedform._cell_integrals, one grid per cell, against
     reference_product_integral, one grid per relay, to 1e-14 relative."""

@@ -607,7 +607,7 @@ class TestChunkedZeroRedraw:
         flags = outage_flags(curve[0], TS, trials, seed)
         monkeypatch.undo()
 
-        rows = montecarlo._layout(trials, 2, points)[0]
+        rows = montecarlo._layout(trials, 2, points, TS)[0]
         chunks, chunk = -(-trials // rows), trial // rows
         assert chunks > 1
         # A zero before the last chunk draws the rest of the block at once.
@@ -633,13 +633,14 @@ def _curve(n, points, rate_rs=0.8):
 # picks the last relay instead of the first.
 CURVE = _curve(3, 5) + [SystemConfig(_curve(3, 5)[2].relays[::-1], rate_rs=0.8)]
 # One partial block in one chunk, one full block, several full blocks, and a
-# partial last block that ends in a partial chunk (CURVE scores 2,279 rows
-# per chunk).
+# partial last block that ends in a partial chunk, under every rule (CURVE
+# scores 2,880 rows per chunk under OS, TS and SS-RE, 3,912 under SS-RD and
+# SS-SR, and 6,393 under PS and a pinned relay).
 CURVE_TRIALS = [
     1_000,
     montecarlo.BLOCK_SIZE,
     3 * montecarlo.BLOCK_SIZE,
-    2 * montecarlo.BLOCK_SIZE + 4_101,
+    2 * montecarlo.BLOCK_SIZE + 7_001,
 ]
 
 
@@ -654,6 +655,13 @@ class TestConfigSequence:
 
     def test_the_curve_moves_the_fixed_picks(self):
         assert [select_ps(cfg) for cfg in CURVE] == [1, 1, 1, 1, 1, 3]
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(2),), ids=lambda s: s.label)
+    def test_the_trial_counts_cross_chunk_boundaries(self, scheme):
+        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 3, len(CURVE), scheme)
+        last = CURVE_TRIALS[-1] % montecarlo.BLOCK_SIZE
+        assert group == len(CURVE)
+        assert CURVE_TRIALS[0] < rows < last and last % rows
 
     @pytest.mark.parametrize("trials", CURVE_TRIALS)
     @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(2),), ids=lambda s: s.label)
@@ -738,12 +746,16 @@ class TestConfigSequence:
             simulate_outage(curve, scheme, trials, 8)
         assert sizes and max(sizes) <= 4 * montecarlo.BLOCK_SIZE * 4
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(1),), ids=lambda s: s.label)
     @pytest.mark.parametrize(
         "n, points, trials",
         [(4, 2_000, 1_000), (32, 64, montecarlo.BLOCK_SIZE + 100), (1, 9_000, 300)],
-        ids=["N4-2000-configs", "N32-64-configs", "N1-9000-configs-in-groups"],
+        # N = 1 groups 9,000 configs under OS, TS and SS-RE.
+        ids=["N4-2000-configs", "N32-64-configs", "N1-9000-configs"],
     )
-    def test_large_curves_stay_within_the_workspace(self, workers, monkeypatch, n, points, trials):
+    def test_large_curves_stay_within_the_workspace(
+        self, workers, monkeypatch, scheme, n, points, trials
+    ):
         # Every thread, the caller's among them, starts without a buffer.
         monkeypatch.setattr(montecarlo, "_local", threading.local())
         sizes, workspace = [], montecarlo._workspace
@@ -755,11 +767,11 @@ class TestConfigSequence:
 
         monkeypatch.setattr(montecarlo, "_workspace", recorded)
         curve = _curve(n, points)
-        got = simulate_outage(curve, OS, trials, 12)
+        got = simulate_outage(curve, scheme, trials, 12)
         assert sizes and max(sizes) <= 4 * montecarlo.BLOCK_SIZE * n
         sample = {0, 1, points // 2, points - 1} | set(np.random.default_rng(n).integers(0, points, 3).tolist())
         for i in sorted(sample):
-            assert got[i] == simulate_outage(curve[i], OS, trials, 12), i
+            assert got[i] == simulate_outage(curve[i], scheme, trials, 12), i
 
     def test_each_group_of_configs_makes_its_own_pass(self, workers, monkeypatch):
         trials = 2 * montecarlo.BLOCK_SIZE + 7
@@ -772,12 +784,29 @@ class TestConfigSequence:
 
         monkeypatch.setattr(montecarlo, "block_generator", counted)
         # Groups of two configs, as a curve too large for one chunk row gets.
-        monkeypatch.setattr(montecarlo, "_layout", lambda size, n, k: (min(size, 1_000), min(k, 2)))
+        monkeypatch.setattr(
+            montecarlo, "_layout", lambda size, n, k, scheme: (min(size, 1_000), min(k, 2))
+        )
         assert simulate_outage(CURVE, SS_RE, trials, 9) == expected
         assert sorted(made) == sorted([(9, b) for b in range(3)] * 3)
 
-    def test_configs_are_grouped_only_when_a_row_does_not_fit(self):
-        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 1, 9_000)
-        assert group < 9_000 and rows >= 1
-        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 2_000)[1] == 2_000
-        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 32, 64)[1] == 64
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(1),), ids=lambda s: s.label)
+    def test_configs_are_grouped_only_when_a_row_does_not_fit(self, scheme):
+        # One N = 1 row holds 8,885 configs under OS, TS and SS-RE, 10,279
+        # under SS-RD and SS-SR, and 30,837 under PS and a pinned relay.
+        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 1, 40_000, scheme)
+        assert 8_000 < group < 40_000 and rows >= 1
+        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 2_000, scheme)[1] == 2_000
+        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 32, 64, scheme)[1] == 64
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(4),), ids=lambda s: s.label)
+    def test_each_rule_is_charged_only_for_what_it_holds(self, monkeypatch, scheme):
+        # fig5 scores 26 configs of 4 relays per call.  Charged for two link
+        # planes and five per-trial arrays, every rule got 705 rows per chunk;
+        # PS and a pinned relay hold no plane, SS-RD and SS-SR one.
+        least = {"PS": 3_000, "SINGLE": 3_000, "SS-RD": 1_300, "SS-SR": 1_300}.get(scheme.kind, 880)
+        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 26, scheme)
+        assert group == 26 and rows >= least > 705
+        monkeypatch.setattr(montecarlo, "_local", threading.local())
+        montecarlo._workspace(rows, 4, 26, montecarlo._PLANES[scheme.kind])
+        assert montecarlo._local.buf.size <= 4 * montecarlo.BLOCK_SIZE * 4
