@@ -9,9 +9,9 @@ figure     run a published-experiment preset (fig2..fig5)
 diversity  fit decay orders on a previously emitted sweep CSV
 gap        dB penalty of an eavesdropper mean-SNR improvement
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(a value outside [0, 1] beyond the clamp band, a non-finite value or term,
-or a selection-metric rate outside float64's range), 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a link mean SNR outside
+±300 dB among them), 3 numerical failure (a value outside [0, 1] beyond
+the clamp band, or a non-finite value or term), 4 I/O error.
 """
 
 from __future__ import annotations

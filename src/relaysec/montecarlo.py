@@ -26,8 +26,6 @@ a sequence of configs with one relay count, such as every cell of one
 scheme's sweep, and scores them all on one draw: config i's estimate is
 bit-identical to a call with that config alone; the estimates share their
 uniforms, so they are correlated while each one's distribution is unchanged.
-A link rate below 53 ln 2 / DBL_MAX raises ConfigError: there ln(U) / -rate
-overflows for the smallest nonzero uniform, 2^-53.
 
 A block is drawn and scored a chunk of trials at a time.  Each chunk's
 uniforms come straight from the block's generator, so successive chunks hold
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -74,9 +71,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
-# The smallest link rate simulated: ln(2^-53) / -rate, the largest SNR a
-# uniform can give, overflows one ulp below it.
-_MIN_LINK_RATE = 53 * math.log(2.0) / sys.float_info.max
 # A thread's chunk workspace holds at most this many doubles per relay.
 _WORKSPACE = 4 * BLOCK_SIZE
 
@@ -455,16 +449,19 @@ def _block_outages(
     rows = min(curve.rows, size)
     ws = _workspace(rows, curve.n, curve.k, curve.planes, curve.reserve)
     counts = np.zeros(curve.k, dtype=np.int64)
-    for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
-        r = len(u)
-        if r < rows:
-            # Only the last chunk is short: views of its length keep every
-            # array contiguous (ws.u's first r rows stay where they are).
-            ws = _workspace(r, curve.n, curve.k, curve.planes, curve.reserve)
-        # In place first: a transposing log would read u without SIMD.
-        np.copyto(ws.links, np.log(u, out=u).transpose(2, 1, 0))
-        dest = ws.flags if out is None else out[None, first : first + r]
-        counts += np.count_nonzero(_score(curve, ws, dest), axis=1)
+    # Near rate_rs 512, rho * (1 + eve) overflows to inf, the limit the
+    # outage test needs.  numpy's error state is per thread, so it is set here.
+    with np.errstate(over="ignore"):
+        for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
+            r = len(u)
+            if r < rows:
+                # Only the last chunk is short: views of its length keep every
+                # array contiguous (ws.u's first r rows stay where they are).
+                ws = _workspace(r, curve.n, curve.k, curve.planes, curve.reserve)
+            # In place first: a transposing log would read u without SIMD.
+            np.copyto(ws.links, np.log(u, out=u).transpose(2, 1, 0))
+            dest = ws.flags if out is None else out[None, first : first + r]
+            counts += np.count_nonzero(_score(curve, ws, dest), axis=1)
     return counts
 
 
@@ -509,12 +506,6 @@ def _run_blocks(
     the one config, which each block writes into its own slice."""
     for cfg in cfgs:
         scheme.validate_for(cfg)
-        low = min(min(r.sr_rate, r.rd_rate, r.eve_rate) for r in cfg.relays)
-        if low < _MIN_LINK_RATE:
-            raise ConfigError(
-                f"link rate {low!r} is below {_MIN_LINK_RATE!r} (a mean SNR above "
-                "about 3066.9 dB), where the simulated link SNR overflows"
-            )
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None

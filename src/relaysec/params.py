@@ -4,7 +4,8 @@ Every link is flat Rayleigh faded, so its instantaneous SNR is exponential.
 We store the exponential *rate* parameter of each link (mean link SNR is the
 reciprocal, on a linear scale).  All user-facing surfaces take mean SNRs in
 power decibels and convert once at ingestion; everything downstream works in
-rates.
+rates.  Every link's mean SNR must lie within ±300 dB, wide physical
+headroom in which no closed form or simulated SNR leaves float64.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def db_to_linear(value_db: float) -> float:
     return value
 
 
+# The accepted link rates: ±300 dB converted as from_mean_snr_db does, so both ends pass.
+_SNR_LIMIT_DB = 300.0
+_MIN_RATE = 1.0 / db_to_linear(_SNR_LIMIT_DB)
+_MAX_RATE = 1.0 / db_to_linear(-_SNR_LIMIT_DB)
+
+
 def split_total_snr(total_snr_linear: float, fraction_sr: float) -> tuple[float, float]:
     """Share a total mean SNR between the two hops; returns the two rates.
 
@@ -121,9 +128,11 @@ class RelayLinkParams:
     eve_rate: float
 
     def __post_init__(self) -> None:
-        _require_positive_finite("sr_rate", self.sr_rate)
-        _require_positive_finite("rd_rate", self.rd_rate)
-        _require_positive_finite("eve_rate", self.eve_rate)
+        for name in ("sr_rate", "rd_rate", "eve_rate"):
+            rate = float(getattr(self, name))
+            if not _MIN_RATE <= rate <= _MAX_RATE:
+                raise ConfigError(f"{name} must be a rate in [{_MIN_RATE!r}, {_MAX_RATE!r}], "
+                                  f"a mean SNR within ±{_SNR_LIMIT_DB:g} dB, got {rate!r}")
 
     @property
     def main_rate(self) -> float:

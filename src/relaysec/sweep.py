@@ -172,6 +172,15 @@ class SweepSpec:
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.fixed_hop is not None and not isinstance(self.fixed_hop, FixedHop):
             raise ConfigError("fixed_hop must be a FixedHop or None")
+        # Hop rates are monotone in the grid, so the first and last grid point
+        # of each rate bound every cell's link rates.
+        eves = self.eve_rates()
+        for ri, rate in enumerate(self.rates):
+            for grid_db in (self.snr_grid_db[0], self.snr_grid_db[-1]):
+                try:
+                    _build_config(self, eves, rate, self.split_for_rate(ri), grid_db)
+                except ConfigError as exc:
+                    raise ConfigError(f"cell at rate_rs {rate!r}, {grid_db!r} dB: {exc}") from exc
 
     def split_for_rate(self, rate_index: int) -> float:
         return _each(self.power_split_sr, len(self.rates))[rate_index]

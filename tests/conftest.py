@@ -94,6 +94,14 @@ def quad_selection_outage(cfg: SystemConfig, kind: str) -> float:
     return math.fsum(terms)
 
 
+def mp_fade(x):
+    """e^{-x} for mpf x >= 0, or 0 where it is below 10^-(dps + 10).  Every
+    fade multiplies a term a*e^{-...} that is subtracted from a larger one,
+    so that drops less than the working precision's rounding, and mpmath
+    takes up to 0.1 s to form e^{-x} at x near 1e337 (rate_rs 511)."""
+    return mpmath.mpf(0) if x > (mpmath.mp.dps + 10) * mpmath.ln(10) else mpmath.exp(-x)
+
+
 def mp_selection_outage(cfg: SystemConfig, kind: str, dps: int = 90) -> float:
     """TS, SS-RE, SS-RD or SS-SR outage as the paper's inclusion-exclusion sum
     over subsets A of relay k's competitors, summed over relays k,
@@ -113,9 +121,9 @@ def mp_selection_outage(cfg: SystemConfig, kind: str, dps: int = 90) -> float:
             s, cs = _selection_rates(cfg, kind, k)
             s, b, a = mpmath.mpf(s), mpmath.mpf(relay.main_rate), mpmath.mpf(relay.eve_rate)
             # (sign, s + c_A, (B + c_A) rho + a, a e^{-(B + c_A) d})
-            subsets = [(1, s, b * rho + a, a * mpmath.exp(-b * d))]
+            subsets = [(1, s, b * rho + a, a * mp_fade(b * d))]
             for c in map(mpmath.mpf, cs):
-                c_rho, fade = c * rho, mpmath.exp(-c * d)
+                c_rho, fade = c * rho, mp_fade(c * d)
                 subsets += [(-sign, sc + c, den + c_rho, e * fade) for sign, sc, den, e in subsets]
             part = mpmath.mpf(0)
             for sign, sc, den, e in subsets:

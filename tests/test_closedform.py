@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import (
     _selection_rates,
+    mp_fade,
     mp_selection_outage,
     quad_selection_outage,
     quad_single_outage,
@@ -38,7 +40,7 @@ from relaysec import (
     single_relay_outage,
     split_total_snr,
 )
-from relaysec import closedform, montecarlo
+from relaysec import closedform, params
 from relaysec.closedform import _as_probability
 from relaysec.params import ConfigError
 
@@ -368,23 +370,6 @@ def spread_config(n, snr_db, rate=0.5):
     return SystemConfig(relays, rate)
 
 
-class TestMetricRateOutOfRange:
-    """SS-RE compares b/a, which leaves float64 where neither b nor a does."""
-
-    @pytest.mark.parametrize("n", [2, 8])
-    @pytest.mark.parametrize("hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0)],
-                             ids=["overflow", "underflow"])
-    def test_ss_re_raises_at_every_relay_count(self, n, hop_db, eve_db):
-        extreme = RelayLinkParams.from_mean_snr_db(hop_db, hop_db, eve_db)
-        plain = RelayLinkParams.from_mean_snr_db(10.0, 10.0, 0.0)
-        cfg = SystemConfig((extreme,) + (plain,) * (n - 1), 0.5)
-        with pytest.raises(CancellationError, match="selection-metric rates"):
-            outage_for_scheme(cfg, SS_RE)
-        for scheme in ALL_SCHEMES:
-            if scheme is not SS_RE:
-                assert 0.0 <= outage_for_scheme(cfg, scheme).p <= 1.0, scheme.label
-
-
 class TestCancellationRegime:
     """Multi-relay sums where the alternating subset expansion cancels."""
 
@@ -523,7 +508,7 @@ def mp_fixed_outage(cfg: SystemConfig, scheme, dps: int) -> float:
     with mpmath.workdps(dps):
         rho = mpmath.mpf(cfg.rho)
         branches = [
-            1 - a * mpmath.exp(-b * (rho - 1)) / (b * rho + a)
+            1 - a * mp_fade(b * (rho - 1)) / (b * rho + a)
             for b, a in ((mpmath.mpf(r.main_rate), mpmath.mpf(r.eve_rate)) for r in cfg.relays)
         ]
         if scheme.kind == "OS":
@@ -533,41 +518,84 @@ def mp_fixed_outage(cfg: SystemConfig, scheme, dps: int) -> float:
         return float(branches[scheme.relay - 1])
 
 
-class TestSimulatorRateBound:
-    """Hops at the simulator's smallest link rate (about 3066 dB), where
-    746/min(w) overflows; the subset sums cancel about 300 decades here, so
-    the oracle works in 700 digits."""
+def mp_outage(cfg: SystemConfig, scheme) -> float:
+    """Any scheme's outage in 700 digits, enough for the subset sums at the
+    ends of the range, which cancel about 300 decades."""
+    if scheme.kind in ("OS", "PS", "SINGLE"):
+        return mp_fixed_outage(cfg, scheme, dps=700)
+    return mp_selection_outage(cfg, scheme.kind, dps=700)
 
-    @pytest.mark.parametrize("rate", [0.5, 2.0])
+
+# Relays outside the stated range: configs that once hung, exited 3 where the
+# outage is 1, read a silent 0.0 or laid out about a thousand panels, and
+# SS-RE metric rates b/a past float64.
+_RAMP = [1.0 + 0.1 * k for k in range(6)]
+EDGE_RELAYS = {
+    # With rate_rs 1e-300 (rho = 1), and main rates past the largest double.
+    "rho-one-overflowed-delta": lambda: [RelayLinkParams(8e307 * m, 8e307, 9e307) for m in _RAMP],
+    "overflowed-kernel": lambda: [RelayLinkParams(5e307 * m, 5e307, 1e308) for m in _RAMP],
+    "hops-near-1e-200": lambda: [RelayLinkParams(1e-200 * sr, 1e-200 * rd, e) for sr, rd, e in
+                                 zip((1, 2, 3, 100), (2, 3, 100, 1), np.geomspace(1e-3, 30, 4))],
+    "hops-at-3000-dB": lambda: [RelayLinkParams.from_mean_snr_db(3000.0, 3000.0, 0.0)],
+    "metric-rate-overflow": lambda: [RelayLinkParams.from_mean_snr_db(-3000.0, -3000.0, 3000.0)],
+    "metric-rate-underflow": lambda: [RelayLinkParams.from_mean_snr_db(3000.0, 3000.0, -3000.0)],
+}
+
+
+class TestStatedRange:
+    """Every link's mean SNR lies within ±300 dB.  What lies outside is
+    refused where it is built; inside, every scheme meets the 700-digit
+    oracle, with hops at either end of the range, where 746/min(w) and the
+    main rates are at their extremes, at rho = 1, at rho - 1 near 4.5e307
+    and between."""
+
+    @pytest.mark.parametrize("build", EDGE_RELAYS.values(), ids=EDGE_RELAYS)
+    def test_edge_configs_are_refused_when_built(self, build):
+        with pytest.raises(ConfigError, match="within ±300 dB"):
+            build()
+
+    @pytest.mark.parametrize("rate", [0.5, 2.0, 1e-17, 300.0, 511.0])
+    @pytest.mark.parametrize("end", ["high-snr", "low-snr"])
     @pytest.mark.parametrize("eve_order", [1, -1], ids=["eve-ascending", "eve-descending"])
-    def test_every_scheme_matches_the_oracle(self, rate, eve_order):
-        hops = [montecarlo._MIN_LINK_RATE * m for m in (1.0, 2.0, 3.0, 100.0)]
-        eves = np.geomspace(1e-3, 30.0, 4)[::eve_order].tolist()
+    def test_every_scheme_matches_the_oracle(self, rate, end, eve_order):
+        hops = [params._MIN_RATE * m if end == "high-snr" else params._MAX_RATE / m
+                for m in (1.0, 2.0, 3.0, 100.0)]
+        eves = np.geomspace(params._MIN_RATE, params._MAX_RATE, 4)[::eve_order].tolist()
         cfg = SystemConfig(tuple(RelayLinkParams(h, h, e) for h, e in zip(hops, eves)), rate)
         for scheme in ALL_SCHEMES + (single(4),):
-            if scheme.kind in ("OS", "PS", "SINGLE"):
-                expected = mp_fixed_outage(cfg, scheme, dps=700)
-            else:
-                expected = mp_selection_outage(cfg, scheme.kind, dps=700)
             # Four relays are summed in float64 unless a sum cancels, which
             # can lose about 1e-12 relative (README's numerical notes).
             got = outage_for_scheme(cfg, scheme).p
-            assert got == pytest.approx(expected, rel=1e-11, abs=0.0), scheme.label
+            assert got == pytest.approx(mp_outage(cfg, scheme), rel=1e-11, abs=0.0), scheme.label
 
+    def test_seeded_fuzz_over_the_whole_range(self):
+        # Links uniform over ±300 dB, 30% of them exactly at an end; rho = 1,
+        # rho - 1 near 4.5e307 and rates in between.
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            n = int(rng.integers(1, 7))
+            db = rng.uniform(-300.0, 300.0, size=(n, 3))
+            ends = rng.random((n, 3)) < 0.3
+            db[ends] = rng.choice([-300.0, 300.0], size=int(ends.sum()))
+            rate = [1e-17, 511.0, float(np.exp(rng.uniform(np.log(0.01), np.log(511.0))))][
+                int(rng.integers(3))]
+            cfg = SystemConfig(tuple(RelayLinkParams.from_mean_snr_db(*row) for row in db), rate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for scheme in ALL_SCHEMES:
+                    assert outage_for_scheme(cfg, scheme).p == pytest.approx(
+                        mp_outage(cfg, scheme), rel=1e-10, abs=0.0), (scheme.label, cfg)
 
-class TestOverflowedMainRate:
-    """Hops near -3077 dB, where three of six relays' main rates (sr + rd)
-    pass the largest double: their main SNR is 0, every branch is in outage,
-    and the integrated single-hop rules read 1.0 without a RuntimeWarning
-    (which tier-1 raises)."""
-
-    @pytest.mark.parametrize("scheme", [SS_RD, SS_SR], ids=lambda s: s.label)
-    def test_reads_one(self, scheme):
-        cfg = SystemConfig(
-            tuple(RelayLinkParams(8e307 * (1.0 + 0.1 * k), 8e307, 9e307) for k in range(6)), 0.1
-        )
-        assert sum(math.isinf(r.main_rate) for r in cfg.relays) == 3
-        assert outage_for_scheme(cfg, scheme).p == 1.0
+    @pytest.mark.parametrize("eve_db", [250.0, 300.0])
+    def test_rate_511_with_strong_eavesdroppers_reads_one_without_warning(self, eve_db):
+        # eve_rate/rho underflows to 0 where TS and SS-RE have g = 0, so that
+        # relay's unread k_far and floor are 0/0.
+        relays = tuple(RelayLinkParams.from_mean_snr_db(10.0 + i, 10.0, eve_db) for i in range(6))
+        cfg = SystemConfig(relays, 511.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scheme in ALL_SCHEMES:
+                assert outage_for_scheme(cfg, scheme).p == 1.0, scheme.label
 
 
 class TestBatchedIntegralReference:

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import warnings
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from relaysec import montecarlo
+from relaysec import montecarlo, params
 from relaysec import (
     ALL_SCHEMES,
     OS,
@@ -177,34 +178,31 @@ class TestSimulateOutage:
         est = simulate_outage(cfg, TS, 40_000, 17)
         assert flags.mean() == est.p_hat
 
-    @pytest.mark.parametrize("link", range(3), ids=["sr", "rd", "eve"])
-    def test_link_rates_whose_snr_overflows_are_refused(self, link):
-        # ln(2^-53), the log of the smallest nonzero uniform, over -rate
-        # overflows one ulp below the bound; scored with inf SNRs, an OS trial
-        # at rate 1e-308 used to pick a NaN metric and never count an outage.
-        edge = montecarlo._MIN_LINK_RATE
-        assert -math.log(2.0**-53) / edge < math.inf
-        assert -math.log(2.0**-53) / math.nextafter(edge, 0.0) == math.inf
-        rates = [edge] * 3
-        rates[link] = math.nextafter(edge, 0.0)
-        fine = RelayLinkParams(edge, edge, edge)
-        cfg = SystemConfig((fine, RelayLinkParams(*rates), fine), 0.5)
-        for call in (
-            lambda: simulate_outage(cfg, OS, 100, 3),
-            lambda: simulate_outage([SystemConfig((fine,) * 3, 0.5), cfg], TS, 100, 3),
-            lambda: outage_flags(cfg, single(1), 100, 3),
-        ):
-            with pytest.raises(ConfigError, match="link rate"):
-                call()
-
-    def test_link_rates_at_the_bound_keep_every_snr_finite(self):
+    @pytest.mark.parametrize("links", [(0, 0, 0), (1, 1, 1), (0, 0, 1)],
+                             ids=["high-snr", "low-snr", "weak-eavesdropper"])
+    def test_link_rates_at_the_range_corners_keep_every_snr_finite(self, links):
         # Tier-1 turns numpy's overflow RuntimeWarning into an error.
-        edge = montecarlo._MIN_LINK_RATE
-        cfg = SystemConfig(tuple(RelayLinkParams(edge, edge, edge) for _ in range(3)), 0.5)
+        ends = (params._MIN_RATE, params._MAX_RATE)
+        cfg = SystemConfig(tuple(RelayLinkParams(*(ends[e] for e in links)) for _ in range(3)), 0.5)
         for scheme in ALL_SCHEMES:
             est = simulate_outage(cfg, scheme, 4_000, 3)
             closed = outage_for_scheme(cfg, scheme).p
-            assert abs(est.p_hat - closed) < 4 * est.std_err, scheme.label
+            # The closed form's standard error: est.std_err is 0 where every
+            # trial is in outage, while the closed form reads 1 - 2e-16.
+            std_err = math.sqrt(closed * (1 - closed) / 4_000)
+            assert abs(est.p_hat - closed) <= 4 * std_err, scheme.label
+
+    def test_rate_511_counts_every_trial_as_an_outage_without_warning(self):
+        # rho * (1 + eve) overflows to inf, the limit, on every block's pool
+        # thread; two blocks run on the pool.
+        cfg = SystemConfig(tuple(RelayLinkParams.from_mean_snr_db(10.0 + i, 10.0, 0.0)
+                                 for i in range(6)), 511.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scheme in ALL_SCHEMES:
+                est = simulate_outage(cfg, scheme, montecarlo.BLOCK_SIZE + 10, 4)
+                assert est.p_hat == 1.0, scheme.label
+                assert outage_flags(cfg, scheme, 100, 4).all(), scheme.label
 
 
 class TestScalarVectorConsistency:
@@ -284,24 +282,24 @@ class TestFirstMax:
         assert np.array_equal(top, np.max(metric, axis=1))
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES[:5], ids=lambda s: s.label)
-    def test_metrics_at_the_rate_bound_hold_no_nan(self, scheme):
-        # Hops at the smallest simulated rate give link SNRs up to about
-        # DBL_MAX, and eavesdropper rates over 600 decades push OS's ratio
-        # and SS-RE's product to their extremes; neither leaves float64.
-        cfgs, n, rows = rate_bound_configs(), 5, 4_096
+    def test_metrics_at_the_range_corners_hold_no_nan(self, scheme):
+        # Hops at either end of the range give link SNRs from about 1e-46 to
+        # 4e31, and eavesdropper rates over 60 decades push OS's ratio and
+        # SS-RE's product to their extremes; neither leaves float64.
+        cfgs, n, rows = range_corner_configs(), 5, 4_096
         curve = montecarlo._Curve(scheme, cfgs, rows)
         planes = np.empty((2, len(cfgs), n, rows))
         for b in range(3):
-            links = rate_bound_links(b, n, rows)
+            links = block_links(b, n, rows)
             metric = montecarlo._metric(scheme, links, curve.neg_rates, curve.eve_weights, *planes)
             assert np.isfinite(metric).all(), (scheme.label, b)
 
-    def test_ss_re_picks_the_exact_maximum_at_the_rate_bound(self):
-        # min(sr, rd) * eve_rate passes DBL_MAX on these configs; the pick
-        # must still be the first maximum of the exact rational products.
-        cfgs, n, rows = rate_bound_configs(), 5, 2_000
+    def test_ss_re_picks_the_exact_maximum_at_the_range_corners(self):
+        # The pick must be the first maximum of the exact rational products
+        # min(sr, rd) * eve_rate.
+        cfgs, n, rows = range_corner_configs(), 5, 2_000
         curve = montecarlo._Curve(SS_RE, cfgs, rows)
-        links = rate_bound_links(0, n, rows)
+        links = block_links(0, n, rows)
         planes = np.empty((2, len(cfgs), n, rows))
         metric = montecarlo._metric(SS_RE, links, curve.neg_rates, curve.eve_weights, *planes)
         picks = montecarlo._first_max(
@@ -322,18 +320,18 @@ class TestFirstMax:
         assert wrong == 0
 
 
-def rate_bound_configs():
-    """Eight 5-relay configs with every hop at or near the smallest simulated
-    link rate and eavesdropper rates from 1e-300 to 1e300, both orders."""
-    edge = montecarlo._MIN_LINK_RATE
-    eves = np.geomspace(1e-300, 1e300, 5)
+def range_corner_configs():
+    """Sixteen 5-relay configs with every hop at or near either end of the
+    range and eavesdropper rates over the whole range, both orders."""
+    lo, hi = params._MIN_RATE, params._MAX_RATE
+    eves = np.geomspace(lo, hi, 5)
     return tuple(
-        SystemConfig(tuple(RelayLinkParams(edge * m, edge * m, e) for e in eves[::order]), 0.5)
-        for m in (1.0, 2.0, 3.0, 100.0) for order in (1, -1)
+        SystemConfig(tuple(RelayLinkParams(hop, hop, e) for e in eves[::order]), 0.5)
+        for m in (1.0, 2.0, 3.0, 100.0) for hop in (lo * m, hi / m) for order in (1, -1)
     )
 
 
-def rate_bound_links(block, n, rows):
+def block_links(block, n, rows):
     """ln(U) of the first `rows` trials of seed 5's block, laid out (3, n, rows)."""
     _, u = next(montecarlo._chunks(block_generator(5, block), np.empty((rows, n, 3)), rows))
     return np.log(u).transpose(2, 1, 0).copy()

@@ -112,6 +112,26 @@ class TestRelayLinkParams:
         with pytest.raises(ConfigError):
             RelayLinkParams(1.0, 1.0, bad)
 
+    def test_the_range_ends_are_the_converted_decibel_ends(self):
+        # A literal 1e-30 would refuse 300 dB itself: 10.0**30 rounds up.
+        assert params._MIN_RATE == 1.0 / db_to_linear(300.0) < 1e-30
+        assert params._MAX_RATE == 1.0 / db_to_linear(-300.0)
+
+    @pytest.mark.parametrize("link", range(3), ids=["sr", "rd", "eve"])
+    @pytest.mark.parametrize("db", [300.0, -300.0])
+    def test_every_link_is_accepted_at_either_end_of_the_range(self, link, db):
+        levels = [10.0, 10.0, 0.0]
+        levels[link] = db
+        r = RelayLinkParams.from_mean_snr_db(*levels)
+        assert (r.sr_rate, r.rd_rate, r.eve_rate)[link] in (params._MIN_RATE, params._MAX_RATE)
+
+    @pytest.mark.parametrize("link", ["sr_rate", "rd_rate", "eve_rate"])
+    @pytest.mark.parametrize("db", [300.01, -300.01, 3000.0, -3000.0])
+    def test_a_link_outside_the_range_is_refused_naming_it(self, link, db):
+        levels = {"sr_rate": 10.0, "rd_rate": 10.0, "eve_rate": 0.0, link: db}
+        with pytest.raises(ConfigError, match=rf"^{link} .* within ±300 dB, got"):
+            RelayLinkParams.from_mean_snr_db(*levels.values())
+
 
 class TestSystemConfig:
     def test_rho_exceeds_one(self):

@@ -145,6 +145,17 @@ REFUSED_SPECS = {
     "negative seed": {"seed": -1},
     "seed past 64 bits": {"seed": 2**64},
     "unknown field": {"noise": 1.0},
+    # A level db_to_linear takes, whose cell has a link outside ±300 dB.
+    "grid past the range": {"snr_grid_db": [0.0, 304.0]},
+    "grid below the range": {"snr_grid_db": [-300.0, 0.0]},
+    "grid past the range, hop pinned": {"snr_grid_db": [0.0, 300.01],
+                                        "fixed_hop": {"which": "SR", "snr_db": 30.0}},
+    "eavesdropper past the range": {"eaves_snr_db": 300.01},
+    "eavesdropper below the range": {"n_relays": 2, "eaves_snr_db": [0.0, -300.01]},
+    "pinned hop past the range": {"fixed_hop": {"which": "SR", "snr_db": 300.01}},
+    "pinned hop below the range": {"fixed_hop": {"which": "RD", "snr_db": -300.01}},
+    "second rate's split leaves the range": {
+        "snr_grid_db": [-270.0, 0.0], "rates": [0.5, 1.0], "power_split_sr": [0.5, 0.9999]},
 }
 
 # Each dB level a sweep spec takes, as fields over a valid one-relay spec that
@@ -175,6 +186,9 @@ REFUSED_CONFIGS = {
     "eavesdropper below float64": {
         "relays": [{"sr_snr_db": 0.0, "rd_snr_db": 0.0, "eve_snr_db": -3300.0}]},
     "relay without eavesdropper": {"relays": [{"sr_snr_db": 0.0, "rd_snr_db": 0.0}]},
+    "hop past the range": {"relays": [{"sr_snr_db": 300.01, "rd_snr_db": 0.0, "eve_snr_db": 0.0}]},
+    "eavesdropper below the range": {
+        "relays": [{"sr_snr_db": 0.0, "rd_snr_db": 0.0, "eve_snr_db": -300.01}]},
     "missing rate": {"rate_rs": None},
 }
 
@@ -193,6 +207,24 @@ class TestRefusals:
         assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", [k for k in REFUSED_SPECS if "the range" in k])
+    def test_a_cell_outside_the_range_is_named(self, name):
+        spec = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], **REFUSED_SPECS[name]}
+        with pytest.raises(ConfigError, match=r"^cell at rate_rs .*, .* dB: \w+_rate .* ±300 dB"):
+            SweepSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("fields", [
+        # Balanced 303 dB puts each hop at 300 - 10 log10(2) dB at split 0.5.
+        {"snr_grid_db": [-296.0, 303.0], "n_relays": 2, "eaves_snr_db": [-300.0, 300.0]},
+        # A pinned hop and the grid reach both ends.
+        {"snr_grid_db": [-300.0, 300.0], "fixed_hop": {"which": "SR", "snr_db": 300.0},
+         "eaves_snr_db": -300.0},
+        {"snr_grid_db": [-300.0, 300.0], "fixed_hop": {"which": "RD", "snr_db": -300.0}},
+    ], ids=["balanced", "sr-pinned", "rd-pinned"])
+    def test_specs_at_the_range_corners_build(self, fields):
+        spec = SweepSpec.from_dict({"rates": [1e-17, 0.5, 511.0], "schemes": ["OS"], **fields})
+        assert spec.snr_grid_db == tuple(fields["snr_grid_db"])
 
     @pytest.mark.parametrize("field", DB_FIELD_FORMS)
     @pytest.mark.parametrize("level, reason", [
@@ -724,16 +756,21 @@ class TestCli:
         assert main(["outage", "--config", str(self.write_config(tmp_path))]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0)],
-                             ids=["overflow", "underflow"])
-    def test_metric_rate_out_of_range_exits_3(self, tmp_path, capsys, hop_db, eve_db):
-        # SS-RE compares b/a, which leaves float64 on the first relay.
+    @pytest.mark.parametrize(
+        "hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0), (3080.0, 0.0)],
+        ids=["metric-rate-overflow", "metric-rate-underflow", "3080-dB-hop"])
+    @pytest.mark.parametrize(
+        "command", [["outage"], ["simulate", "--trials", "100", "--seed", "1"]],
+        ids=["outage", "simulate"])
+    def test_link_snr_outside_the_range_exits_2(self, tmp_path, capsys, hop_db, eve_db, command):
+        # SS-RE's metric rate b/a once left float64 on the first relay (exit
+        # 3), and a 3080 dB hop's simulated SNR overflowed.
         relays = [{"sr_snr_db": hop_db, "rd_snr_db": hop_db, "eve_snr_db": eve_db},
                   {"sr_snr_db": 10.0, "rd_snr_db": 10.0, "eve_snr_db": 0.0}]
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
-        assert main(["outage", "--config", str(path)]) == 3
-        assert "numerical failure: SS-RE: selection-metric rates" in capsys.readouterr().err
+        assert main(command + ["--config", str(path)]) == 2
+        assert "sr_rate must be a rate in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sr_db", [3200.0, -3300.0], ids=["overflow", "underflow"])
     def test_decibels_outside_float64_exit_2(self, tmp_path, capsys, sr_db):
@@ -743,14 +780,6 @@ class TestCli:
         path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
         assert main(["outage", "--config", str(path)]) == 2
         assert "outside the float64 range" in capsys.readouterr().err
-
-    def test_simulating_an_overflowing_link_snr_exits_2(self, tmp_path, capsys):
-        # A 3080 dB hop has link rate 1e-308, where the simulated SNR overflows.
-        relays = [{"sr_snr_db": 3080.0, "rd_snr_db": 10.0, "eve_snr_db": 0.0}]
-        path = tmp_path / "overflowing_snr.json"
-        path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
-        assert main(["simulate", "--config", str(path), "--trials", "100", "--seed", "1"]) == 2
-        assert "where the simulated link SNR overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("mc_trials", "abc"), ("n_relays", "x")])
     def test_mistyped_spec_number_exits_2(self, tmp_path, capsys, field, value):
