@@ -353,7 +353,13 @@ PIN_N4 = SystemConfig(
     tuple(RelayLinkParams.from_mean_snr_db(8.0 + k, 11.0 - k, 3.0 * k) for k in range(4)),
     rate_rs=0.8,
 )
+PIN_N2 = SystemConfig(
+    tuple(RelayLinkParams.from_mean_snr_db(9.0 + 2 * k, 12.0 - k, 4.0 * k) for k in range(2)),
+    rate_rs=0.6,
+)
 _N1_FLAGS = "e3ded6bf74a30d9c23c9fd57d1261e5ba8d5eb745b2d64a548c8a48bf2d44e27"
+
+_N2_CURVE = "30043b7c88c3967f5ad3c5ee4cd854ed45bf686b6b6a57c6352dd18a92625142"
 
 _PINNED = [  # (config, scheme, sha256 of the outage flags, p_hat)
     (PIN_N1, OS, _N1_FLAGS, 0.48485),
@@ -363,6 +369,13 @@ _PINNED = [  # (config, scheme, sha256 of the outage flags, p_hat)
     (PIN_N1, SS_SR, _N1_FLAGS, 0.48485),
     (PIN_N1, PS, _N1_FLAGS, 0.48485),
     (PIN_N1, single(1), _N1_FLAGS, 0.48485),
+    (PIN_N2, OS, "6ab77807599dfcf25f5ef15dc560759a633578fffcd96da974d9a3dced33a54d", 0.26185),
+    (PIN_N2, TS, "84d92e49447799c9ecb6288ae3486c3eeb99973ebba8ff9eef9bbceef4e3550f", 0.318075),
+    (PIN_N2, SS_RE, "2d32063adda0d63c83cf44aeea4328cf74f209a694d146b654f265fd9ad75b67", 0.305575),
+    (PIN_N2, SS_RD, "c020dd02e5e4118a486fd6ca35c297b46fd426deaf0e352ee5797c3e7d779d31", 0.40265),
+    (PIN_N2, SS_SR, "4bcbd6f46d8289487634b142d140ab1eda74529b2067f95e70c32b671edce786", 0.399125),
+    (PIN_N2, PS, "1f50a0e8509089c64ca0480e0ab9a13fdb0714e82381764a357b55d612dda075", 0.455125),
+    (PIN_N2, single(2), "e24d62fb1bd9263fe26ff35105542638e78e682fd3c5429c4300f90bb79e3a47", 0.5728),
     (PIN_N4, OS, "2bc527ca0637257e2bade29293949f6dd2c15dd584fa83e8eb6cd0d132207707", 0.35425),
     (PIN_N4, TS, "2dd82905bc5b215cb2121e8c1d702e318f33f2ee14e8d47500acedf826bafb4c", 0.504125),
     (PIN_N4, SS_RE, "276f24c6b98d43c3eb219cff2229677a4f8d33aa05f277ca24e907f022cf020a", 0.464375),
@@ -388,6 +401,13 @@ class TestPinnedStream:
         assert flags.dtype == np.bool_ and flags.shape == (PIN_TRIALS,)
         assert hashlib.sha256(flags.tobytes()).hexdigest() == flags_sha256
         assert simulate_outage(cfg, scheme, PIN_TRIALS, PIN_SEED).p_hat == p_hat
+
+    def test_n2_curve_fingerprint(self):
+        # sha256 of every rule's estimates over a 13-config N = 2 curve.
+        curve = _curve(2, 13)
+        estimates = [[e.p_hat for e in simulate_outage(curve, s, PIN_TRIALS, PIN_SEED)]
+                     for s in ALL_SCHEMES + (single(2),)]
+        assert hashlib.sha256(np.array(estimates).tobytes()).hexdigest() == _N2_CURVE
 
 
 def _run_in_threads(calls, timeout=120.0):
