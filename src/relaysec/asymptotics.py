@@ -12,7 +12,9 @@ checked as the closed forms check it: rho = 1 gives the zero-rate limit.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,7 +122,9 @@ def asymp_ts_balanced(
 
     The inner sum carries no i-dependent factor, so it multiplies by N and
     cancels the 1/N; numerically the expression tracks the exact curve's
-    slope but sits a factor N above its level.
+    slope but sits a factor N above its level.  Where a power or factorial
+    leaves the normal float range, the same expression is summed in 40-digit
+    decimals instead, and a value beyond DBL_MAX is returned as inf.
     """
     rho = _check_rho(rho)
     mean_snr = _require_positive_finite("mean_snr", mean_snr)
@@ -129,19 +133,33 @@ def asymp_ts_balanced(
     if n < 1:
         raise ConfigError("eve_rates must be non-empty")
     beta = 1.0 / mean_snr
-    total = 0.0
-    for a in rates:
-        inner = 0.0
-        for j in range(n + 1):
-            inner += (
-                math.comb(n, j)
-                * (rho - 1.0) ** j
-                * rho ** (n - j)
-                * math.factorial(n - j)
-                / (n * a ** (n - j))
-            )
-        total += n * inner
-    return AsymptoteResult(value=beta**n * total, slope_order=n)
+    try:
+        value = _ts_sum(rates, rho, beta, n)
+        # No power fell below the normal range (rho = 1 makes exact zeros),
+        # and no denominator overflowed.
+        exact = (min(*rates, rho - 1.0 or 1.0, beta, 1.0) ** n >= sys.float_info.min
+                 and n * max(*rates, 1.0) ** n <= sys.float_info.max)
+    except (OverflowError, ZeroDivisionError):
+        exact = False
+    if not (exact and sys.float_info.min <= value <= sys.float_info.max):
+        wide = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        with decimal.localcontext(wide):
+            d = decimal.Decimal
+            value = float(_ts_sum([d(a) for a in rates], d(rho), 1 / d(mean_snr), n))
+    return AsymptoteResult(value=value, slope_order=n)
+
+
+def _ts_sum(rates, rho, beta, n):
+    """asymp_ts_balanced's published sum, in the arithmetic of its arguments."""
+    return beta**n * sum(
+        n * sum(
+            # 0 ** 0 (at rho = 1) is an error in decimals.
+            math.comb(n, j) * ((rho - 1) ** j if j else 1) * rho ** (n - j) * math.factorial(n - j)
+            / (n * a ** (n - j))
+            for j in range(n + 1)
+        )
+        for a in rates
+    )
 
 
 def snr_gap_db(eve_rate_from: float, eve_rate_to: float, rho: float) -> float:

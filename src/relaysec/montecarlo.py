@@ -36,12 +36,11 @@ once: the link SNRs the scheme compares are laid out (config, relay, trial),
 the selected relay is the first maximum over the relay axis (PS and a pinned
 relay have fixed picks), and only its links are gathered into SNRs for the
 outage test.  The rows per chunk keep a thread's workspace within
-4 * BLOCK_SIZE * N doubles, and each rule is charged only for what it holds:
-the chunk's uniforms and ln(U), the link planes it compares per config (none
-for PS and a pinned relay, one for SS-RD and SS-SR, two for the others) and
-a few per-trial arrays, the gather's among them reusing the metric's plane
-once the maximum is found.  When one trial's row of every config would not
-fit, each group of configs that does fit makes its own pass over the blocks.
+4 * BLOCK_SIZE * N doubles unless one row of every config needs more, and
+each rule is charged only for what it holds: the chunk's uniforms and ln(U),
+the link planes it compares per config (none for PS and a pinned relay, one
+for SS-RD and SS-SR, two for the others) and a few per-trial arrays, the
+gather's among them reusing the metric's plane once the maximum is found.
 """
 
 from __future__ import annotations
@@ -285,15 +284,13 @@ _PLANES = {"PS": 0, "SINGLE": 0, "SS-RD": 1, "SS-SR": 1, "OS": 2, "TS": 2, "SS-R
 
 
 class _Curve:
-    """What every block of one pass reads: the configs' rates, the fixed
-    picks, and the chunk layout."""
+    """What every block of one call reads: the configs' rates, the fixed
+    picks, and the rows per chunk for blocks of up to `size` trials."""
 
     __slots__ = ("scheme", "n", "k", "neg_rates", "eve_weights", "rho", "picks", "picked_rates",
-                 "planes", "rows", "reserve", "trial_offsets", "config_offsets")
+                 "planes", "rows", "trial_offsets", "config_offsets")
 
-    def __init__(
-        self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], rows: int, reserve: int = 0
-    ):
+    def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], size: int):
         self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
         self.neg_rates = _neg_rates(cfgs)
         self.eve_weights = _eve_weights(self.neg_rates)
@@ -302,41 +299,31 @@ class _Curve:
         # Each link's negated rate of the fixed pick, (3, configs, 1).
         self.picked_rates = (None if self.picks is None
                              else self.neg_rates[:, np.arange(self.k), self.picks, None])
-        self.planes, self.rows, self.reserve = _PLANES[scheme.kind], rows, reserve
+        self.planes = _PLANES[scheme.kind]
+        # Counted in eighths of a double, as many rows as fit the workspace,
+        # and at least one.
+        doubles, bools = _regions(1, self.n, self.k, self.planes)
+        row = 8 * sum(doubles) + bools * self.k
+        self.rows = min(size, max(1, 8 * _WORKSPACE * self.n // row))
         # Flat offsets of a chunk's trials in one link's (n, rows) ln(U), and
         # of the configs in one link's (configs, n) rates.
         self.trial_offsets = np.arange(self.rows, dtype=np.intp)
         self.config_offsets = np.arange(self.k, dtype=np.intp)[:, None] * self.n
 
 
-def _holds(n: int, planes: int) -> tuple[int, int]:
-    """(configs, rows) arrays a rule holds beside its link planes: (those of
-    doubles or indices, those of bools).  The fixed picks gather into top
-    and x and write the flags.  A metric rule keeps top, idx, the two bool
-    arrays of _first_max and the flags; its gather scratch (x, tmp, pos)
-    goes in the metric plane, dead once _first_max has run, unless N < 3
-    leaves that plane too small."""
-    if planes == 0:
-        return 2, 1
-    return (2 if n >= 3 else 5), 3
-
-
-def _layout(size: int, n: int, k: int, scheme: SelectionScheme) -> tuple[int, int]:
-    """(rows per chunk, configs per group) for blocks of up to `size` trials
-    and k configs of n relays under `scheme`.  Counted in eighths of a
-    double, one trial's row takes 48n for its uniforms and their ln(U)
-    link-major, and per config 8n per link plane the rule holds, and 8 or 1
-    per array of _holds.  At fig5's shape (N = 4, 26 configs) that is 3,307
-    rows for PS and a pinned relay, 1,381 for SS-RD and SS-SR and 892 for the
-    others.  All k configs share a chunk while one row of them fits the
-    workspace; beyond that, the largest group that fits does, and the rest
-    make passes of their own."""
-    planes = _PLANES[scheme.kind]
-    budget = 8 * _WORKSPACE * n
-    own, bools = _holds(n, planes)
-    per_config = 8 * (planes * n + own) + bools
-    group = min(k, (budget - 48 * n) // per_config)
-    return min(size, budget // (48 * n + group * per_config)), group
+def _regions(rows: int, n: int, k: int, planes: int) -> tuple[list[int], int]:
+    """The chunk buffer of `rows` trials of k configs of n relays under a
+    rule that holds `planes` link planes: the doubles of each array in
+    buffer order, and the number of (configs, rows) bool arrays after them.
+    The uniforms and their ln(U) link-major come first, then the planes, then
+    top and either idx (a metric rule) or x (the fixed picks); the bools are
+    _first_max's two and the flags, or the flags alone.  A metric rule's
+    gather scratch (x, tmp, pos) goes in its last plane, dead once _first_max
+    has run, so that plane is at least 3 relays deep.  At fig5's shape
+    (N = 4, 26 configs) this gives 3,307 rows per chunk for PS and a pinned
+    relay, 1,381 for SS-RD and SS-SR and 892 for the others."""
+    held = [k * n * rows] * (planes - 1) + [k * max(n, 3) * rows] if planes else []
+    return [3 * n * rows] * 2 + held + [k * rows] * 2, 3 if planes else 1
 
 
 class _Views(NamedTuple):
@@ -354,28 +341,27 @@ class _Views(NamedTuple):
     flags: np.ndarray
 
 
-def _workspace(rows: int, n: int, k: int, planes: int, reserve: int = 0) -> _Views:
+def _workspace(rows: int, n: int, k: int, planes: int) -> _Views:
     """This thread's chunk buffers for `rows` trials of k configs of n
-    relays under a rule that holds `planes` link planes: views of one flat
-    buffer that grows to the largest need it has met, or to `reserve`
-    doubles if that is more, at most _WORKSPACE * n doubles."""
-    plane, per = k * n * rows, k * rows
-    own, bools = _holds(n, planes)
-    ends = np.cumsum([3 * n * rows] * 2 + [plane] * planes + [per] * own)
+    relays under a rule that holds `planes` link planes, laid out by
+    _regions: views of one flat buffer that grows to the largest need it has
+    met, and to no less than _WORKSPACE * n doubles, so that every rule's
+    buffer has one size: freed buffers of differing sizes raised peak RSS."""
+    doubles, bools = _regions(rows, n, k, planes)
+    ends = np.cumsum(doubles)
+    per = k * rows
     need = int(ends[-1]) + -(-bools * per // 8)
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < need:
-        buf = _local.buf = np.empty(max(need, reserve))
+        buf = _local.buf = np.empty(max(need, _WORKSPACE * n))
     u, links, *parts, flat = np.split(buf[:need], ends)
-    held = [p.reshape(k, n, rows) for p in parts[:planes]]
-    arrays = [p.reshape(k, rows) for p in parts[planes:]]
-    if planes and n >= 3:
-        arrays += list(held[-1].reshape(-1)[: 3 * per].reshape(3, k, rows))
+    held = [p[: k * n * rows].reshape(k, n, rows) for p in parts[:planes]]
+    top, second = (p.reshape(k, rows) for p in parts[planes:])
     if planes:
-        top, idx, x, tmp, pos = arrays
-        idx, pos = idx.view(np.intp), pos.view(np.intp)
+        x, tmp, pos = parts[planes - 1][: 3 * per].reshape(3, k, rows)
+        idx, pos = second.view(np.intp), pos.view(np.intp)
     else:
-        (top, x), tmp, idx, pos = arrays, None, None, None
+        x, tmp, idx, pos = second, None, None, None
     *checks, flags = flat.view(np.bool_)[: bools * per].reshape(bools, k, rows)
     run, ne = checks or (None, None)
     return _Views(
@@ -447,7 +433,7 @@ def _block_outages(
     drawn and scored a chunk at a time; with `out`, the one config's flags
     are also written there."""
     rows = min(curve.rows, size)
-    ws = _workspace(rows, curve.n, curve.k, curve.planes, curve.reserve)
+    ws = _workspace(rows, curve.n, curve.k, curve.planes)
     counts = np.zeros(curve.k, dtype=np.int64)
     # Near rate_rs 512, rho * (1 + eve) overflows to inf, the limit the
     # outage test needs.  numpy's error state is per thread, so it is set here.
@@ -457,7 +443,7 @@ def _block_outages(
             if r < rows:
                 # Only the last chunk is short: views of its length keep every
                 # array contiguous (ws.u's first r rows stay where they are).
-                ws = _workspace(r, curve.n, curve.k, curve.planes, curve.reserve)
+                ws = _workspace(r, curve.n, curve.k, curve.planes)
             # In place first: a transposing log would read u without SIMD.
             np.copyto(ws.links, np.log(u, out=u).transpose(2, 1, 0))
             dest = ws.flags if out is None else out[None, first : first + r]
@@ -509,39 +495,26 @@ def _run_blocks(
     trials = _require_int("trials", trials, 1)
     seed = _require_seed(seed)
     flags = np.empty(trials, dtype=bool) if keep_flags else None
-    n = cfgs[0].n_relays
-    rows, group = _layout(min(trials, BLOCK_SIZE), n, len(cfgs), scheme)
-    # A call of more than one chunk takes the whole bound at once, so every
-    # thread's buffer has one size whatever the rule: freed buffers of
-    # differing sizes raised peak RSS.
-    reserve = _WORKSPACE * n if trials > rows else 0
-    outages = np.zeros(len(cfgs), dtype=np.int64)
-    # Configs that do not fit one chunk together make a pass over the blocks
-    # per group, each adding its counts to its own slice of outages.
-    passes = [(_Curve(scheme, cfgs[lo : lo + group], rows, reserve), outages[lo : lo + group])
-              for lo in range(0, len(cfgs), group)]
+    curve = _Curve(scheme, cfgs, min(trials, BLOCK_SIZE))
 
-    def block(curve: _Curve, b: int) -> np.ndarray:
+    def block(b: int) -> np.ndarray:
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, trials)
         return _block_outages(curve, seed, b, hi - lo, None if flags is None else flags[lo:hi])
 
     n_blocks = -(-trials // BLOCK_SIZE)
     if n_blocks == 1:
-        for curve, total in passes:
-            total += block(curve, 0)
-        return trials, seed, outages, flags
+        return trials, seed, block(0), flags
     # A few blocks per core are in flight at once, so a call of any length
     # holds a bounded number of futures; counts are summed in block order.
+    outages = np.zeros(len(cfgs), dtype=np.int64)
     window, pending = 4 * _cores(), deque()
     with _executor() as pool:
-        for curve, total in passes:
-            for b in range(n_blocks):
-                if len(pending) == window:
-                    done, future = pending.popleft()
-                    done += future.result()
-                pending.append((total, pool.submit(block, curve, b)))
-        for total, future in pending:
-            total += future.result()
+        for b in range(n_blocks):
+            if len(pending) == window:
+                outages += pending.popleft().result()
+            pending.append(pool.submit(block, b))
+        for future in pending:
+            outages += future.result()
     return trials, seed, outages, flags
 
 

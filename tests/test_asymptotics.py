@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -20,6 +23,7 @@ from relaysec import (
     single_relay_outage,
     snr_gap_db,
 )
+from relaysec.cli import main
 from relaysec.params import ConfigError
 
 
@@ -220,6 +224,45 @@ class TestStrongestMainChannelBalanced:
             exact = outage_ts(cfg).p
             printed = asymp_ts_balanced([eve] * n, rho, 1.0 / (2 * hop_rate)).value
             assert printed / (n * exact) == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "rates, rho, mean_snr",
+        [
+            ([1.0] * 2, 2.0**600, 10.0),
+            ([1.0] * 171, 2.0, 10.0),
+            ([1e-30] * 11, 2.0, 1e30),
+            ([1.0] * 11, 2.0, 1e29),
+        ],
+        ids=["rho-power-overflows", "factorial-overflows", "eve-power-underflows",
+             "snr-power-subnormal"],
+    )
+    def test_powers_beyond_the_float_range(self, rates, rho, mean_snr):
+        # The first three raised, and the last lost five digits in a
+        # subnormal (1/mean_snr)^N.  To 50 digits the published sum is
+        # 1.72e360 (beyond DBL_MAX), 1.047e192, 8.99e11 and 1.48e-307.
+        n = len(rates)
+        with mpmath.workdps(50):
+            r, beta = mpmath.mpf(rho), 1 / mpmath.mpf(mean_snr)
+            expected = beta**n * sum(
+                mpmath.factorial(n) / mpmath.factorial(j) * (r - 1) ** j * (r / a) ** (n - j)
+                for a in map(mpmath.mpf, rates) for j in range(n + 1)
+            )
+        got = asymp_ts_balanced(rates, rho, mean_snr)
+        assert got.slope_order == n
+        if expected > sys.float_info.max:
+            assert got.value == math.inf
+        else:
+            assert got.value == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+    def test_a_balanced_sweep_at_the_top_rate_writes_inf(self, tmp_path):
+        spec, out = tmp_path / "spec.json", tmp_path / "ts.csv"
+        spec.write_text(json.dumps(
+            {"snr_grid_db": [10.0], "rates": [511.0], "schemes": ["TS"], "n_relays": 2}
+        ))
+        assert main(["sweep", "--config", str(spec), "--out", str(out)]) == 0
+        with out.open(newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["p_asymp"] == "inf"
 
 
 class TestSnrGap:

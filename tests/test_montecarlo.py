@@ -358,7 +358,6 @@ PIN_N2 = SystemConfig(
     rate_rs=0.6,
 )
 _N1_FLAGS = "e3ded6bf74a30d9c23c9fd57d1261e5ba8d5eb745b2d64a548c8a48bf2d44e27"
-
 _N2_CURVE = "30043b7c88c3967f5ad3c5ee4cd854ed45bf686b6b6a57c6352dd18a92625142"
 
 _PINNED = [  # (config, scheme, sha256 of the outage flags, p_hat)
@@ -625,7 +624,7 @@ class TestChunkedZeroRedraw:
         flags = outage_flags(curve[0], TS, trials, seed)
         monkeypatch.undo()
 
-        rows = montecarlo._layout(trials, 2, points, TS)[0]
+        rows = montecarlo._Curve(TS, curve, trials).rows
         chunks, chunk = -(-trials // rows), trial // rows
         assert chunks > 1
         # A zero before the last chunk draws the rest of the block at once.
@@ -676,9 +675,8 @@ class TestConfigSequence:
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(2),), ids=lambda s: s.label)
     def test_the_trial_counts_cross_chunk_boundaries(self, scheme):
-        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 3, len(CURVE), scheme)
+        rows = montecarlo._Curve(scheme, CURVE, montecarlo.BLOCK_SIZE).rows
         last = CURVE_TRIALS[-1] % montecarlo.BLOCK_SIZE
-        assert group == len(CURVE)
         assert CURVE_TRIALS[0] < rows < last and last % rows
 
     @pytest.mark.parametrize("trials", CURVE_TRIALS)
@@ -768,7 +766,8 @@ class TestConfigSequence:
     @pytest.mark.parametrize(
         "n, points, trials",
         [(4, 2_000, 1_000), (32, 64, montecarlo.BLOCK_SIZE + 100), (1, 9_000, 300)],
-        # N = 1 groups 9,000 configs under OS, TS and SS-RE.
+        # N = 1 scores 9,000 configs one row at a time under all but PS and
+        # a pinned relay, which take three.
         ids=["N4-2000-configs", "N32-64-configs", "N1-9000-configs"],
     )
     def test_large_curves_stay_within_the_workspace(
@@ -791,31 +790,32 @@ class TestConfigSequence:
         for i in sorted(sample):
             assert got[i] == simulate_outage(curve[i], scheme, trials, 12), i
 
-    def test_each_group_of_configs_makes_its_own_pass(self, workers, monkeypatch):
-        trials = 2 * montecarlo.BLOCK_SIZE + 7
+    def test_a_curve_too_large_for_one_row_gets_one_row_chunks(self, workers, monkeypatch):
+        trials = montecarlo.BLOCK_SIZE + 7
         expected = tuple(simulate_outage(cfg, SS_RE, trials, 9) for cfg in CURVE)
-        made = []
+        made, sizes, workspace = [], [], montecarlo._workspace
 
         def counted(*key):
             made.append(key)
             return block_generator(*key)
 
-        monkeypatch.setattr(montecarlo, "block_generator", counted)
-        # Groups of two configs, as a curve too large for one chunk row gets.
-        monkeypatch.setattr(
-            montecarlo, "_layout", lambda size, n, k, scheme: (min(size, 1_000), min(k, 2))
-        )
-        assert simulate_outage(CURVE, SS_RE, trials, 9) == expected
-        assert sorted(made) == sorted([(9, b) for b in range(3)] * 3)
+        def recorded(*shape):
+            views = workspace(*shape)
+            sizes.append(montecarlo._local.buf.size)
+            return views
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(1),), ids=lambda s: s.label)
-    def test_configs_are_grouped_only_when_a_row_does_not_fit(self, scheme):
-        # One N = 1 row holds 8,885 configs under OS, TS and SS-RE, 10,279
-        # under SS-RD and SS-SR, and 30,837 under PS and a pinned relay.
-        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 1, 40_000, scheme)
-        assert 8_000 < group < 40_000 and rows >= 1
-        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 2_000, scheme)[1] == 2_000
-        assert montecarlo._layout(montecarlo.BLOCK_SIZE, 32, 64, scheme)[1] == 64
+        monkeypatch.setattr(montecarlo, "block_generator", counted)
+        monkeypatch.setattr(montecarlo, "_workspace", recorded)
+        # Every thread, the caller's among them, starts without a buffer,
+        # and the bound holds less than one row of CURVE.
+        monkeypatch.setattr(montecarlo, "_local", threading.local())
+        monkeypatch.setattr(montecarlo, "_WORKSPACE", 1)
+        assert montecarlo._Curve(SS_RE, CURVE, trials).rows == 1
+        assert simulate_outage(CURVE, SS_RE, trials, 9) == expected
+        assert sorted(made) == [(9, 0), (9, 1)]
+        # One row of 6 configs of 3 relays: the uniforms and their ln(U), 9
+        # doubles each, two link planes of 18, top and idx of 6, and 18 bools.
+        assert set(sizes) == {2 * 9 + 2 * 18 + 2 * 6 + 3}
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES + (single(4),), ids=lambda s: s.label)
     def test_each_rule_is_charged_only_for_what_it_holds(self, monkeypatch, scheme):
@@ -823,8 +823,8 @@ class TestConfigSequence:
         # planes and five per-trial arrays, every rule got 705 rows per chunk;
         # PS and a pinned relay hold no plane, SS-RD and SS-SR one.
         least = {"PS": 3_000, "SINGLE": 3_000, "SS-RD": 1_300, "SS-SR": 1_300}.get(scheme.kind, 880)
-        rows, group = montecarlo._layout(montecarlo.BLOCK_SIZE, 4, 26, scheme)
-        assert group == 26 and rows >= least > 705
+        rows = montecarlo._Curve(scheme, _curve(4, 26), montecarlo.BLOCK_SIZE).rows
+        assert rows >= least > 705
         monkeypatch.setattr(montecarlo, "_local", threading.local())
         montecarlo._workspace(rows, 4, 26, montecarlo._PLANES[scheme.kind])
-        assert montecarlo._local.buf.size <= 4 * montecarlo.BLOCK_SIZE * 4
+        assert montecarlo._local.buf.size == 4 * montecarlo.BLOCK_SIZE * 4
