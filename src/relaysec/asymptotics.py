@@ -150,16 +150,22 @@ def asymp_ts_balanced(
 
 
 def _ts_sum(rates, rho, beta, n):
-    """asymp_ts_balanced's published sum, in the arithmetic of its arguments."""
-    return beta**n * sum(
-        n * sum(
-            # 0 ** 0 (at rho = 1) is an error in decimals.
-            math.comb(n, j) * ((rho - 1) ** j if j else 1) * rho ** (n - j) * math.factorial(n - j)
-            / (n * a ** (n - j))
-            for j in range(n + 1)
-        )
-        for a in rates
-    )
+    """asymp_ts_balanced's published sum, in the arithmetic of its arguments
+    (in loops: the builtin sum() compensates float rounding from Python 3.12)."""
+    total = 0
+    for a in rates:
+        inner = 0
+        for j in range(n + 1):
+            inner += (
+                math.comb(n, j)
+                # 0 ** 0 (at rho = 1) is an error in decimals.
+                * ((rho - 1) ** j if j else 1)
+                * rho ** (n - j)
+                * math.factorial(n - j)
+                / (n * a ** (n - j))
+            )
+        total += n * inner
+    return beta**n * total
 
 
 def snr_gap_db(eve_rate_from: float, eve_rate_to: float, rho: float) -> float:
