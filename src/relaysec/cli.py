@@ -31,6 +31,7 @@ from .params import (
     ConfigError,
     RelayLinkParams,
     SystemConfig,
+    _require_real,
     db_to_linear,
     parse_scheme,
     rho_of_rate,
@@ -62,13 +63,12 @@ def _system_config(data: dict) -> SystemConfig:
     try:
         relays = tuple(
             RelayLinkParams.from_mean_snr_db(
-                sr_db=float(r["sr_snr_db"]),
-                rd_db=float(r["rd_snr_db"]),
-                eve_db=float(r["eve_snr_db"]),
+                *(_require_real(f"relays[{i}].{key}", r[key])
+                  for key in ("sr_snr_db", "rd_snr_db", "eve_snr_db"))
             )
-            for r in data["relays"]
+            for i, r in enumerate(data["relays"])
         )
-        return SystemConfig(relays=relays, rate_rs=float(data["rate_rs"]))
+        return SystemConfig(relays=relays, rate_rs=_require_real("rate_rs", data["rate_rs"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

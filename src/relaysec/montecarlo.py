@@ -29,9 +29,10 @@ uniforms, so they are correlated while each one's distribution is unchanged.
 
 A block is drawn and scored a chunk of trials at a time.  Each chunk's
 uniforms come straight from the block's generator, so successive chunks hold
-exactly the values of one whole-block draw, and an exact 0.0 is redrawn, in
-C order, from the stream after the block's last uniform, as a whole-block
-draw would redraw it.  Every config of the call is scored on the chunk at
+exactly the values of one whole-block draw, and a block of `size` trials
+consumes exactly size * N * 3 uniforms of its substream.  An exact 0.0 is
+read as 2**-54, the midpoint of the generator's first step of 2**-53, so
+ln(U) stays finite.  Every config of the call is scored on the chunk at
 once: the link SNRs the scheme compares are laid out (config, relay, trial),
 the selected relay is the first maximum over the relay axis (PS and a pinned
 relay have fixed picks), and only its links are gathered into SNRs for the
@@ -50,7 +51,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,39 +124,13 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + block_index))
 
 
-def _redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> None:
-    """Replace every exact-zero uniform of u, in C order, with the next ones
-    from `rng`, until none is left, so ln(U) stays finite."""
-    while not u.all():
-        zero = u == 0.0
-        u[zero] = rng.random(int(zero.sum()))
-
-
-def _chunks(
-    rng: np.random.Generator, buf: np.ndarray, size: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Uniforms of a block's `size` trials as (first trial, (r, n, 3) array),
-    len(buf) rows at a time, drawn into buf: 3 per relay in trial, relay,
-    link order, so the chunks hold exactly the values of one (size, n, 3)
-    draw.  Exact zeros are redrawn from the stream after the block's last
-    uniform, so ln(U) stays finite: a zero before the last chunk draws the
-    rest of the block into a temporary array first, and that array is
-    yielded instead."""
-    rows = len(buf)
-    for lo in range(0, size, rows):
-        u = buf[: min(rows, size - lo)]
-        rng.random(out=u)
-        if not u.all():
-            if lo + len(u) < size:
-                rest = np.empty((size - lo,) + u.shape[1:])
-                rest[: len(u)] = u
-                rng.random(out=rest[len(u) :])
-                _redraw_zeros(rng, rest)
-                for first in range(0, len(rest), rows):
-                    yield lo + first, rest[first : first + rows]
-                return
-            _redraw_zeros(rng, u)
-        yield lo, u
+def _uniforms(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """u filled from rng in C order, an exact 0.0 read as 2**-54, the
+    midpoint of the generator's first step, so ln(U) stays finite."""
+    rng.random(out=u)
+    if not u.all():
+        u[u == 0.0] = 2.0**-54
+    return u
 
 
 def _neg_rates(cfgs: Sequence[SystemConfig]) -> np.ndarray:
@@ -187,8 +162,8 @@ def _fixed_picks(scheme: SelectionScheme, cfgs: Sequence[SystemConfig]) -> np.nd
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization, a one-trial chunk; consumes 3 uniforms
     per relay, so successive calls walk the stream a block would draw."""
-    _, u = next(_chunks(rng, np.empty((1, cfg.n_relays, 3)), 1))
-    g = np.log(u[0]) / _neg_rates((cfg,))[:, 0].T
+    u = _uniforms(rng, np.empty((cfg.n_relays, 3)))
+    g = np.log(u) / _neg_rates((cfg,))[:, 0].T
     return ChannelRealization(
         gamma_sr=tuple(g[:, 0]), gamma_rd=tuple(g[:, 1]), gamma_eve=tuple(g[:, 2])
     )
@@ -434,16 +409,18 @@ def _block_outages(
     are also written there."""
     rows = min(curve.rows, size)
     ws = _workspace(rows, curve.n, curve.k, curve.planes)
+    rng = block_generator(seed, block_index)
     counts = np.zeros(curve.k, dtype=np.int64)
     # Near rate_rs 512, rho * (1 + eve) overflows to inf, the limit the
     # outage test needs.  numpy's error state is per thread, so it is set here.
     with np.errstate(over="ignore"):
-        for first, u in _chunks(block_generator(seed, block_index), ws.u, size):
-            r = len(u)
+        for first in range(0, size, rows):
+            r = min(rows, size - first)
             if r < rows:
                 # Only the last chunk is short: views of its length keep every
-                # array contiguous (ws.u's first r rows stay where they are).
+                # array contiguous.
                 ws = _workspace(r, curve.n, curve.k, curve.planes)
+            u = _uniforms(rng, ws.u)
             # In place first: a transposing log would read u without SIMD.
             np.copyto(ws.links, np.log(u, out=u).transpose(2, 1, 0))
             dest = ws.flags if out is None else out[None, first : first + r]

@@ -43,14 +43,24 @@ def _require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_real(name: str, value: float) -> float:
+    """`value` as a float; a string or a bool raises ConfigError rather than
+    being parsed or read as 0 or 1.  What float() itself refuses (None)
+    raises as float() does."""
+    if isinstance(value, (str, bool)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_int(name: str, value: int, minimum: int) -> int:
     """`value` as an int no less than `minimum`.
 
-    Integral numbers such as 1e5 pass; 2.5, inf, nan or "3" raise ConfigError
-    rather than being truncated or parsed.  What int() itself refuses ("abc",
-    None) raises as int() does.
+    Integral numbers such as 1e5 pass; 2.5, inf, nan, "3" or True raise
+    ConfigError rather than being truncated, parsed or read as 1.  What int()
+    itself refuses ("abc", None) raises as int() does.
     """
-    if isinstance(value, float) and not value.is_integer() or int(value) != value:
+    if (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+            or int(value) != value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")

@@ -42,10 +42,10 @@ from .params import (
     SelectionScheme,
     SystemConfig,
     _require_int,
+    _require_real,
     _require_seed,
     db_to_linear,
     parse_scheme,
-    rho_of_rate,
     single,
     split_total_snr,
 )
@@ -80,6 +80,7 @@ class FixedHop:
     def __post_init__(self) -> None:
         if self.which not in ("SR", "RD"):
             raise ConfigError(f"fixed_hop.which must be 'SR' or 'RD', got {self.which!r}")
+        object.__setattr__(self, "snr_db", _require_real("fixed_hop.snr_db", self.snr_db))
         _check_db("fixed_hop.snr_db", (self.snr_db,))
 
     @property
@@ -97,8 +98,16 @@ def _check_db(name: str, levels: Sequence[float]) -> None:
             raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _reals(name: str, values: Sequence[float]) -> tuple[float, ...]:
+    """A list field's entries as floats; a string, or an entry that is a
+    string or a bool, raises ConfigError naming the field."""
+    if isinstance(values, str):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_require_real(f"{name} entry", v) for v in values)
+
+
 def _ascending(name: str, values: Sequence[float]) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
+    vals = _reals(name, values)
     if not vals:
         raise ConfigError(f"{name} must be non-empty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -110,8 +119,8 @@ def _scalar_or_each(name: str, value, count: int, per: str) -> float | tuple[flo
     """A scalar field as a float, or a sequence as a tuple of `count` floats,
     one per `per`."""
     if not isinstance(value, (tuple, list)):
-        return float(value)
-    values = tuple(float(x) for x in value)
+        return _require_real(name, value)
+    values = _reals(name, value)
     if len(values) != count:
         raise ConfigError(f"per-{per} {name} must have {count} entries, got {len(values)}")
     return values
@@ -145,8 +154,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_grid_db", _ascending("snr_grid_db", self.snr_grid_db))
         object.__setattr__(self, "rates", _ascending("rates", self.rates))
-        for r in self.rates:
-            rho_of_rate(r)
         object.__setattr__(self, "n_relays", _require_int("n_relays", self.n_relays, 1))
         schemes = tuple(self.schemes)
         if not schemes:
@@ -211,12 +218,15 @@ class SweepSpec:
         try:
             kwargs = dict(data)
             if "schemes" in kwargs:
+                labels = kwargs["schemes"]
+                if isinstance(labels, str):
+                    raise ConfigError(f"schemes must be a list of scheme labels, got {labels!r}")
                 kwargs["schemes"] = tuple(
-                    parse_scheme(s) if isinstance(s, str) else s for s in kwargs["schemes"]
+                    parse_scheme(s) if isinstance(s, str) else s for s in labels
                 )
             fh = kwargs.get("fixed_hop")
             if isinstance(fh, dict):
-                kwargs["fixed_hop"] = FixedHop(which=fh["which"], snr_db=float(fh["snr_db"]))
+                kwargs["fixed_hop"] = FixedHop(which=fh["which"], snr_db=fh["snr_db"])
             return cls(**kwargs)
         except ConfigError:
             raise

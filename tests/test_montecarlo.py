@@ -333,7 +333,7 @@ def range_corner_configs():
 
 def block_links(block, n, rows):
     """ln(U) of the first `rows` trials of seed 5's block, laid out (3, n, rows)."""
-    _, u = next(montecarlo._chunks(block_generator(5, block), np.empty((rows, n, 3)), rows))
+    u = montecarlo._uniforms(block_generator(5, block), np.empty((rows, n, 3)))
     return np.log(u).transpose(2, 1, 0).copy()
 
 
@@ -528,95 +528,59 @@ class TestBlockPool:
         assert child.exitcode == 0
 
 
-class TestZeroRedraw:
-    def test_exact_zero_is_redrawn_from_the_same_generator(self, monkeypatch):
-        cfg = random_config(np.random.default_rng(40), 2)
-        trials, seed, pos = 50, 3, (7, 1, 0)
-        real = montecarlo.block_generator
-
-        class ZeroOnFirstFill:
-            """The block's own Philox stream, with an exact 0.0 planted in
-            its first fill; records every draw request."""
-
-            def __init__(self, *key):
-                self.gen = real(*key)
-                self.requests = []
-
-            def random(self, size=None, out=None):
-                self.requests.append("fill" if out is not None else size)
-                values = self.gen.random(size, out=out)
-                if len(self.requests) == 1:
-                    values[pos] = 0.0
-                return values
-
-        stubs = []
-
-        def stub_generator(*key):
-            stubs.append(ZeroOnFirstFill(*key))
-            return stubs[-1]
-
-        monkeypatch.setattr(montecarlo, "block_generator", stub_generator)
-        flags = outage_flags(cfg, TS, trials, seed)
-        assert [s.requests for s in stubs] == [["fill", 1]]
-
-        replay = real(seed, 0)
-        u = replay.random((trials, cfg.n_relays, 3))
-        u[pos] = replay.random(1)[0]
-        rates = np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
-        g = -np.log(u) / rates
-        assert np.isfinite(g).all()
-        for t in range(trials):
-            real_t = make_real(g[t, :, 0], g[t, :, 1], g[t, :, 2])
-            k = reference_pick(TS, cfg, real_t)
-            rate = secrecy_rate(real_t.gamma_main[k - 1], real_t.gamma_eve[k - 1])
-            assert bool(flags[t]) == (rate < cfg.rate_rs), t
-
-
-class ZeroAtTrial:
+class ZeroAt:
     """A block's own Philox stream with an exact 0.0 planted at uniform
-    (trial, relay, link) of the block, in whichever fill draws that trial;
-    records every draw request."""
+    `pos` of the block, (trial, relay, link), in whichever fill draws that
+    trial; records every draw request."""
 
     def __init__(self, pos, *key):
-        self.gen, self.pos = block_generator(*key), pos
+        self.key, self.gen, self.pos = key, block_generator(*key), pos
         self.requests, self.drawn = [], 0
 
     def random(self, size=None, out=None):
         self.requests.append("fill" if out is not None else size)
         values = self.gen.random(size, out=out)
         if out is not None:
+            rows = out.reshape((-1,) + out.shape[-2:])
             t = self.pos[0] - self.drawn
-            if 0 <= t < len(out):
-                out[(t,) + self.pos[1:]] = 0.0
-            self.drawn += len(out)
+            if 0 <= t < len(rows):
+                rows[(t,) + self.pos[1:]] = 0.0
+            self.drawn += len(rows)
         return values
 
 
-def _ts_flags_after_redraw(cfg, trials, seed, pos):
+def _drawn_past(stub, shape):
+    """Whether the stub's stream stands where a fresh generator of its key
+    stands after one random(shape) draw."""
+    fresh = block_generator(*stub.key)
+    fresh.random(shape)
+    return repr(stub.gen.bit_generator.state) == repr(fresh.bit_generator.state)
+
+
+def _ts_flags_at_zero(cfg, trials, seed, pos):
     """TS outage flags of block 0 from a whole-block draw whose uniform at
-    pos is 0.0, redrawn from the stream after the block, with np.argmax
-    selection."""
-    replay = block_generator(seed, 0)
-    u = replay.random((trials, cfg.n_relays, 3))
-    u[pos] = replay.random(1)[0]
+    pos is 2**-54, with np.argmax selection."""
+    u = block_generator(seed, 0).random((trials, cfg.n_relays, 3))
+    u[pos] = 2.0**-54
     g = np.log(u) / -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
     main = np.minimum(g[:, :, 0], g[:, :, 1])
     k, rows = np.argmax(main, axis=1), np.arange(trials)
     return (main[rows, k] + 1.0) < (g[rows, k, 2] + 1.0) * cfg.rho
 
 
-class TestChunkedZeroRedraw:
-    """A zero anywhere in a multi-chunk block is redrawn as a whole-block
-    draw would redraw it: from the stream after the block's last uniform."""
+class TestExactZero:
+    """An exact 0.0 uniform is read as 2**-54: a block draws one fill per
+    chunk and nothing else, and scores what a whole-block draw with that
+    uniform set to 2**-54 gives."""
 
     @pytest.mark.parametrize("trial", [100, montecarlo.BLOCK_SIZE - 1], ids=["first-chunk", "last-chunk"])
     @pytest.mark.parametrize("points", [1, 13], ids=["one-config", "13-config-curve"])
-    def test_matches_a_whole_block_replay(self, monkeypatch, trial, points):
+    def test_a_block_matches_a_whole_block_replay(self, monkeypatch, trial, points):
         curve, trials, seed, pos = _curve(2, points), montecarlo.BLOCK_SIZE, 5, (trial, 1, 0)
         stubs = []
 
         def stub_generator(*key):
-            stubs.append(ZeroAtTrial(pos, *key))
+            stubs.append(ZeroAt(pos, *key))
             return stubs[-1]
 
         monkeypatch.setattr(montecarlo, "block_generator", stub_generator)
@@ -624,15 +588,26 @@ class TestChunkedZeroRedraw:
         flags = outage_flags(curve[0], TS, trials, seed)
         monkeypatch.undo()
 
-        rows = montecarlo._Curve(TS, curve, trials).rows
-        chunks, chunk = -(-trials // rows), trial // rows
-        assert chunks > 1
-        # A zero before the last chunk draws the rest of the block at once.
-        expected = ["fill"] * (chunk + 1) + (["fill", 1] if chunk < chunks - 1 else [1])
-        assert stubs[0].requests == expected
+        for stub, cfgs in zip(stubs, (curve, curve[:1]), strict=True):
+            chunks = -(-trials // montecarlo._Curve(TS, cfgs, trials).rows)
+            assert chunks > 1
+            assert stub.requests == ["fill"] * chunks
+            assert _drawn_past(stub, (trials, 2, 3))
         for cfg, est in zip(curve, got):
-            assert est.p_hat == np.count_nonzero(_ts_flags_after_redraw(cfg, trials, seed, pos)) / trials
-        assert np.array_equal(flags, _ts_flags_after_redraw(curve[0], trials, seed, pos))
+            assert est.p_hat == np.count_nonzero(_ts_flags_at_zero(cfg, trials, seed, pos)) / trials
+        assert np.array_equal(flags, _ts_flags_at_zero(curve[0], trials, seed, pos))
+
+    def test_a_realization_matches_its_replay(self):
+        cfg, pos = random_config(np.random.default_rng(40), 3), (0, 2, 1)
+        stub = ZeroAt(pos, 3, 0)
+        real = sample_realization(cfg, stub)
+        assert stub.requests == ["fill"]
+        assert _drawn_past(stub, (cfg.n_relays, 3))
+        u = block_generator(3, 0).random((cfg.n_relays, 3))
+        u[pos[1:]] = 2.0**-54
+        g = -np.log(u) / np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
+        assert real == make_real(g[:, 0], g[:, 1], g[:, 2])
+        assert np.isfinite(g).all()
 
 
 def _curve(n, points, rate_rs=0.8):

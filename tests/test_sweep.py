@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -193,6 +194,34 @@ REFUSED_CONFIGS = {
 }
 
 
+# JSON values of the wrong type where a number or a list of numbers belongs,
+# as (command, fields, the field the refusal names): a sweep spec's fields go
+# over a valid one-relay spec, a system config's over a valid two-relay one.
+_HOP = {"sr_snr_db": 10.0, "rd_snr_db": 10.0, "eve_snr_db": 3.0}
+MISTYPED_INPUTS = {
+    "grid as a string": ("sweep", {"snr_grid_db": "05"}, "snr_grid_db"),
+    "grid entry as a bool": ("sweep", {"snr_grid_db": [True, 10.0]}, "snr_grid_db"),
+    "rates as a string": ("sweep", {"rates": "12"}, "rates"),
+    "rate as a string": ("sweep", {"rates": ["0.5"]}, "rates"),
+    "schemes as a string": ("sweep", {"schemes": "OS"}, "schemes"),
+    "trials as a bool": ("sweep", {"mc_trials": True}, "mc_trials"),
+    "relay count as a bool": ("sweep", {"n_relays": True}, "n_relays"),
+    "seed as a bool": ("sweep", {"seed": False}, "seed"),
+    "split as a string": ("sweep", {"power_split_sr": "0.5"}, "power_split_sr"),
+    "split entry as a string": ("sweep", {"power_split_sr": ["0.5"]}, "power_split_sr"),
+    "eavesdropper as a string": ("sweep", {"eaves_snr_db": "3"}, "eaves_snr_db"),
+    "eavesdropper entry as a bool": ("sweep", {"eaves_snr_db": [False]}, "eaves_snr_db"),
+    "pinned hop as a string": (
+        "sweep", {"fixed_hop": {"which": "SR", "snr_db": "30"}}, "fixed_hop.snr_db"),
+    "target rate as a bool": ("outage", {"rate_rs": True}, "rate_rs"),
+    "target rate as a string": ("outage", {"rate_rs": "0.5"}, "rate_rs"),
+    "hop as a string": (
+        "outage", {"relays": [_HOP, {**_HOP, "sr_snr_db": "10"}]}, "relays[1].sr_snr_db"),
+    "eavesdropper level as a bool": (
+        "outage", {"relays": [{**_HOP, "eve_snr_db": False}]}, "relays[0].eve_snr_db"),
+}
+
+
 class TestRefusals:
     """Every input is refused where it enters, and the CLI exits 2 for it."""
 
@@ -243,6 +272,24 @@ class TestRefusals:
             spec_path.write_text(json.dumps(spec))
             assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
             assert capsys.readouterr().err == f"error: {message}\n", spec
+
+    @pytest.mark.parametrize("command, fields, field", MISTYPED_INPUTS.values(), ids=MISTYPED_INPUTS)
+    def test_a_mistyped_number_is_refused_by_name(self, tmp_path, capsys, command, fields, field):
+        # Neither parsed from a string, nor read as 0 or 1 from a bool.
+        message = rf"{re.escape(field)} (entry )?must be (a number|an integer|a list of)\b"
+        path = tmp_path / "input.json"
+        if command == "sweep":
+            data = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], **fields}
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                SweepSpec.from_dict(data)
+            argvs = [["sweep", "--out", str(tmp_path / "x.csv")]]
+        else:
+            data = {"relays": [_HOP] * 2, "rate_rs": 0.5, **fields}
+            argvs = [["outage"], ["simulate", "--trials", "10", "--seed", "1"]]
+        path.write_text(json.dumps(data))
+        for argv in argvs:
+            assert main(argv + ["--config", str(path)]) == 2
+            assert re.match(f"error: {message}", capsys.readouterr().err), argv
 
     @pytest.mark.parametrize("fields", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
     def test_system_config_is_refused(self, tmp_path, capsys, fields):
