@@ -6,120 +6,20 @@ high-SNR expansions with outage floors and diversity-order fitting, and a
 sweep/CSV experiment harness.
 """
 
-from .asymptotics import (
-    AsymptoteResult,
-    asymp_os_balanced,
-    asymp_os_unbalanced_floor,
-    asymp_single_balanced,
-    asymp_single_unbalanced,
-    asymp_ts_balanced,
-    diversity_order_estimate,
-    snr_gap_db,
-)
-from .closedform import (
-    CancellationError,
-    OutageProbability,
-    outage_for_scheme,
-    outage_os,
-    outage_ps,
-    outage_ss_rd,
-    outage_ss_re,
-    outage_ss_sr,
-    outage_ts,
-    select_ps,
-    single_relay_outage,
-)
-from .montecarlo import (
-    ChannelRealization,
-    MonteCarloEstimate,
-    apply_selection,
-    outage_flags,
-    sample_realization,
-    secrecy_rate,
-    simulate_outage,
-)
-from .params import (
-    ALL_SCHEMES,
-    OS,
-    PS,
-    SS_RD,
-    SS_RE,
-    SS_SR,
-    TS,
-    ConfigError,
-    RelayLinkParams,
-    SelectionScheme,
-    SystemConfig,
-    db_to_linear,
-    parse_scheme,
-    rho_of_rate,
-    single,
-    split_total_snr,
-)
-from .subsets import SignedSubsetTerm, signed_sum, subset_terms
-from .sweep import (
-    FixedHop,
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    figure_preset,
-    run_manifest,
-    run_sweep,
-)
+from .asymptotics import *
+from .closedform import *
+from .montecarlo import *
+from .params import *
+from .subsets import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_SCHEMES",
-    "AsymptoteResult",
-    "CancellationError",
-    "ChannelRealization",
-    "ConfigError",
-    "FixedHop",
-    "MonteCarloEstimate",
-    "OS",
-    "OutageProbability",
-    "PS",
-    "RelayLinkParams",
-    "SS_RD",
-    "SS_RE",
-    "SS_SR",
-    "SelectionScheme",
-    "SignedSubsetTerm",
-    "SweepRow",
-    "SweepSpec",
-    "SystemConfig",
-    "TS",
-    "apply_selection",
-    "asymp_os_balanced",
-    "asymp_os_unbalanced_floor",
-    "asymp_single_balanced",
-    "asymp_single_unbalanced",
-    "asymp_ts_balanced",
-    "db_to_linear",
-    "diversity_order_estimate",
-    "emit_csv",
-    "figure_preset",
-    "outage_flags",
-    "outage_for_scheme",
-    "outage_os",
-    "outage_ps",
-    "outage_ss_rd",
-    "outage_ss_re",
-    "outage_ss_sr",
-    "outage_ts",
-    "parse_scheme",
-    "rho_of_rate",
-    "run_manifest",
-    "run_sweep",
-    "sample_realization",
-    "secrecy_rate",
-    "select_ps",
-    "simulate_outage",
-    "single",
-    "single_relay_outage",
-    "snr_gap_db",
-    "split_total_snr",
-    "subset_terms",
-    "signed_sum",
-]
+__all__ = (
+    asymptotics.__all__
+    + closedform.__all__
+    + montecarlo.__all__
+    + params.__all__
+    + subsets.__all__
+    + sweep.__all__
+)

@@ -47,12 +47,9 @@ class AsymptoteResult:
 
 def asymp_single_balanced(eve_rate: float, rho: float, mean_snr: float) -> AsymptoteResult:
     """Leading-order single-branch outage when both hops share mean SNR
-    `mean_snr` and it grows large: 2/mean_snr * (rho/eve_rate + rho - 1)."""
-    eve_rate = _require_positive_finite("eve_rate", eve_rate)
-    rho = _check_rho(rho)
-    mean_snr = _require_positive_finite("mean_snr", mean_snr)
-    value = (2.0 / mean_snr) * (rho / eve_rate + (rho - 1.0))
-    return AsymptoteResult(value=value, slope_order=1)
+    `mean_snr` and it grows large: 2/mean_snr * (rho/eve_rate + rho - 1),
+    best-secrecy-rate selection over that one relay."""
+    return asymp_os_balanced((eve_rate,), rho, mean_snr)
 
 
 def asymp_single_unbalanced(

@@ -24,20 +24,21 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import diversity_order_estimate, snr_gap_db
-from .closedform import CancellationError, outage_for_scheme
+from .closedform import outage_for_scheme
 from .montecarlo import simulate_outage
 from .params import (
     ALL_SCHEMES,
+    CancellationError,
     ConfigError,
     RelayLinkParams,
     SystemConfig,
+    _require_object,
     _require_real,
     db_to_linear,
     parse_scheme,
     rho_of_rate,
     single,
 )
-from .subsets import EvaluationError
 from .sweep import FIGURE_NAMES, SweepSpec, figure_preset, render_csv, run_manifest, run_sweep
 
 EXIT_OK = 0
@@ -60,15 +61,15 @@ def _load_json(path: str) -> dict:
 
 
 def _system_config(data: dict) -> SystemConfig:
+    _require_object("system config", data, ("relays", "rate_rs"))
+    keys = ("sr_snr_db", "rd_snr_db", "eve_snr_db")
     try:
-        relays = tuple(
-            RelayLinkParams.from_mean_snr_db(
-                *(_require_real(f"relays[{i}].{key}", r[key])
-                  for key in ("sr_snr_db", "rd_snr_db", "eve_snr_db"))
-            )
-            for i, r in enumerate(data["relays"])
-        )
-        return SystemConfig(relays=relays, rate_rs=_require_real("rate_rs", data["rate_rs"]))
+        relays = []
+        for i, r in enumerate(data["relays"]):
+            _require_object(f"relays[{i}]", r, keys)
+            levels = (_require_real(f"relays[{i}].{key}", r[key]) for key in keys)
+            relays.append(RelayLinkParams.from_mean_snr_db(*levels))
+        return SystemConfig(relays=tuple(relays), rate_rs=_require_real("rate_rs", data["rate_rs"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -245,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CancellationError, EvaluationError) as exc:
+    except CancellationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:  # a file or a standard stream

@@ -62,6 +62,7 @@ from .params import (
     SS_RE,
     SS_SR,
     TS,
+    CancellationError,
     ConfigError,
     RelayLinkParams,
     SelectionScheme,
@@ -72,7 +73,6 @@ from .subsets import signed_sum, subset_terms
 
 __all__ = [
     "OutageProbability",
-    "CancellationError",
     "single_relay_outage",
     "outage_os",
     "outage_ts",
@@ -112,11 +112,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
-
-
-class CancellationError(ArithmeticError):
-    """A closed form failed in float64: its value was non-finite or left
-    [0, 1] by more than round-off."""
 
 
 @dataclass(frozen=True)

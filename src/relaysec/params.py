@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = [
+    "ConfigError",
+    "CancellationError",
     "RelayLinkParams",
     "SystemConfig",
     "SelectionScheme",
@@ -36,6 +39,11 @@ class ConfigError(ValueError):
     """Raised for invalid parameters or malformed configuration input."""
 
 
+class CancellationError(ArithmeticError):
+    """A float64 evaluation failed: a value or a summed term was non-finite,
+    or an outage left [0, 1] by more than round-off."""
+
+
 def _require_positive_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -50,6 +58,17 @@ def _require_real(name: str, value: float) -> float:
     if isinstance(value, (str, bool)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _require_object(name: str, data: dict, known: Iterable[str]) -> None:
+    """Refuse, with ConfigError, `data` that is not a JSON object or holds a
+    key outside `known`, naming every such key: a misspelt key is an error,
+    not a default."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
 
 
 def _require_int(name: str, value: int, minimum: int) -> int:

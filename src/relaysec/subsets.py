@@ -28,6 +28,8 @@ import math
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .params import CancellationError, ConfigError
+
 __all__ = ["SignedSubsetTerm", "subset_terms", "signed_sum"]
 
 # Most effective weights one enumeration takes (see the module docstring).
@@ -36,10 +38,6 @@ _MAX_WEIGHTS = 10
 # fewer weights reads a prefix of these.
 _CARDS = [mask.bit_count() for mask in range(1 << _MAX_WEIGHTS)]
 _SIGNS = [-1 if c & 1 else 1 for c in _CARDS]
-
-
-class EvaluationError(ArithmeticError):
-    """A term evaluated to a non-finite value."""
 
 
 class SignedSubsetTerm(NamedTuple):
@@ -60,22 +58,23 @@ def subset_terms(
     the stream ranges over subsets of the remaining indices.  Exactly
     2^n - 1 terms are produced for n effective indices; excluding the only
     index yields an empty stream (the max over nothing is degenerate at 0).
-    More than 10 effective indices raise ValueError.
+    Bad weights, a bad `exclude` and more than 10 effective indices raise
+    ConfigError.
     """
     w = [float(x) for x in weights]
     n_all = len(w)
     if n_all < 1:
-        raise ValueError("weights must be non-empty")
+        raise ConfigError("weights must be non-empty")
     for x in w:
         if not math.isfinite(x) or x <= 0.0:
-            raise ValueError(f"weights must be positive finite reals, got {x!r}")
+            raise ConfigError(f"weights must be positive finite reals, got {x!r}")
     if exclude is not None:
         if not 1 <= exclude <= n_all:
-            raise ValueError(f"exclude index {exclude} out of range 1..{n_all}")
+            raise ConfigError(f"exclude index {exclude} out of range 1..{n_all}")
         w = w[: exclude - 1] + w[exclude:]
     n = len(w)
     if n > _MAX_WEIGHTS:
-        raise ValueError(
+        raise ConfigError(
             f"{n} effective weights exceed the cap of {_MAX_WEIGHTS} "
             f"(2^{n} - 1 subset terms)"
         )
@@ -95,15 +94,15 @@ def signed_sum(
 ) -> float:
     """Compensated (Neumaier) accumulation of sign * f(term) over the stream.
 
-    Deterministic for a deterministic stream order.  Raises EvaluationError
-    if f produces a non-finite value.
+    Deterministic for a deterministic stream order.  Raises
+    CancellationError if f produces a non-finite value.
     """
     total = 0.0
     comp = 0.0
     for term in terms:
         value = f(term)
         if not math.isfinite(value):
-            raise EvaluationError(f"term {term} evaluated to non-finite {value!r}")
+            raise CancellationError(f"term {term} evaluated to non-finite {value!r}")
         addend = term.sign * value
         fresh = total + addend
         if abs(total) >= abs(addend):

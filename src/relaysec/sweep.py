@@ -42,6 +42,7 @@ from .params import (
     SelectionScheme,
     SystemConfig,
     _require_int,
+    _require_object,
     _require_real,
     _require_seed,
     db_to_linear,
@@ -57,6 +58,7 @@ __all__ = [
     "run_sweep",
     "figure_preset",
     "emit_csv",
+    "render_csv",
     "run_manifest",
     "CSV_HEADER",
     "FIGURE_NAMES",
@@ -210,11 +212,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ConfigError("sweep spec must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown sweep spec fields: {sorted(unknown)}")
+        _require_object("sweep spec", data, (f.name for f in fields(cls)))
         try:
             kwargs = dict(data)
             if "schemes" in kwargs:
@@ -226,7 +224,8 @@ class SweepSpec:
                 )
             fh = kwargs.get("fixed_hop")
             if isinstance(fh, dict):
-                kwargs["fixed_hop"] = FixedHop(which=fh["which"], snr_db=fh["snr_db"])
+                _require_object("fixed_hop", fh, (f.name for f in fields(FixedHop)))
+                kwargs["fixed_hop"] = FixedHop(**fh)
             return cls(**kwargs)
         except ConfigError:
             raise

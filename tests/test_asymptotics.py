@@ -79,6 +79,12 @@ class TestSingleBalanced:
     def test_vanishes_at_infinite_snr(self):
         assert asymp_single_balanced(1.0, 2.0, 1e15).value < 1e-13
 
+    def test_is_the_published_expression_to_the_bit(self):
+        rng = np.random.default_rng(25)
+        for a, rho, m in 10.0 ** rng.uniform([-30, 0, -30], [30, 30, 30], size=(2000, 3)):
+            res = asymp_single_balanced(a, rho, m)
+            assert res.value == (2.0 / m) * (rho / a + (rho - 1.0))
+
     def test_tracks_the_exact_value_at_high_snr(self):
         hop_rate = 1e-6  # 60 dB per hop
         exact = single_relay_outage(RelayLinkParams(hop_rate, hop_rate, 1.0), 2.0).p

@@ -201,3 +201,20 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_exports_each_module_name_once():
+    modules = [importlib.import_module(f"relaysec.{m.name}")
+               for m in pkgutil.iter_modules(relaysec.__path__)]
+    joined = [name for mod in modules for name in getattr(mod, "__all__", ())]
+    assert sorted(relaysec.__all__) == sorted(joined)
+    assert len(set(joined)) == len(joined)
+
+
+def test_params_star_import_binds_both_error_types():
+    namespace = {}
+    exec("from relaysec.params import *", namespace)
+    assert namespace["ConfigError"] is relaysec.ConfigError
+    assert namespace["CancellationError"] is relaysec.CancellationError
+    assert issubclass(namespace["ConfigError"], ValueError)
+    assert issubclass(namespace["CancellationError"], ArithmeticError)

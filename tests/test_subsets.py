@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import product_cdf
-from relaysec import closedform, signed_sum, subset_terms, subsets
-from relaysec.subsets import EvaluationError, SignedSubsetTerm
+from relaysec import CancellationError, ConfigError, closedform, signed_sum, subset_terms, subsets
+from relaysec.subsets import SignedSubsetTerm
 
 
 def terms_list(weights, exclude=None):
@@ -48,7 +48,7 @@ class TestEnumeration:
             assert with_excl == plain
 
     def test_more_than_ten_effective_weights_are_refused(self):
-        with pytest.raises(ValueError, match="cap of 10"):
+        with pytest.raises(ConfigError, match="cap of 10"):
             terms_list([1.0] * 11)
 
     def test_cap_counts_effective_weights_after_exclusion(self):
@@ -59,12 +59,10 @@ class TestEnumeration:
         assert closedform._SUM_MAX_RELAYS - 1 <= subsets._MAX_WEIGHTS
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            terms_list([])
-        with pytest.raises(ValueError):
-            terms_list([1.0, -2.0])
-        with pytest.raises(ValueError):
-            terms_list([1.0], exclude=3)
+        for weights, exclude in [([], None), ([1.0, -2.0], None), ([1.0, math.nan], None),
+                                 ([1.0], 3), ([1.0, 2.0], 0)]:
+            with pytest.raises(ConfigError):
+                terms_list(weights, exclude=exclude)
 
 
 def reference_terms(weights, exclude=None):
@@ -130,5 +128,6 @@ class TestSignedSum:
             assert rebuilt == pytest.approx(product_cdf(weights, x), rel=1e-10, abs=0.0)
 
     def test_propagates_nonfinite_values(self):
-        with pytest.raises(EvaluationError):
-            signed_sum(subset_terms([1.0, 2.0]), lambda t: math.inf)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(CancellationError, match="non-finite"):
+                signed_sum(subset_terms([1.0, 2.0]), lambda t: value)

@@ -28,10 +28,9 @@ from relaysec import (
     single,
     single_relay_outage,
 )
-from relaysec import cli, sweep
+from relaysec import SignedSubsetTerm, closedform, sweep
 from relaysec.cli import main
 from relaysec.params import ConfigError, parse_scheme
-from relaysec.subsets import EvaluationError
 from relaysec.sweep import CSV_HEADER, FixedHop, _build_config, _cell_seed, render_csv
 
 
@@ -221,6 +220,16 @@ MISTYPED_INPUTS = {
         "outage", {"relays": [{**_HOP, "eve_snr_db": False}]}, "relays[0].eve_snr_db"),
 }
 
+# Keys no field takes, as (command, fields, the refusal), laid over inputs as
+# in MISTYPED_INPUTS.  A sweep spec's own unknown field is in REFUSED_SPECS.
+UNKNOWN_KEYS = {
+    "system config": ("outage", {"rate": 2.0}, "unknown system config fields: ['rate']"),
+    "relay entry": ("outage", {"relays": [_HOP, {**_HOP, "eve_snr": 30.0, "eve_db": 3.0}]},
+                    "unknown relays[1] fields: ['eve_db', 'eve_snr']"),
+    "pinned hop": ("sweep", {"fixed_hop": {"which": "SR", "snr_db": 30.0, "level_db": 5.0}},
+                   "unknown fixed_hop fields: ['level_db']"),
+}
+
 
 class TestRefusals:
     """Every input is refused where it enters, and the CLI exits 2 for it."""
@@ -277,6 +286,17 @@ class TestRefusals:
     def test_a_mistyped_number_is_refused_by_name(self, tmp_path, capsys, command, fields, field):
         # Neither parsed from a string, nor read as 0 or 1 from a bool.
         message = rf"{re.escape(field)} (entry )?must be (a number|an integer|a list of)\b"
+        self.assert_refused(tmp_path, capsys, command, fields, message)
+
+    @pytest.mark.parametrize("command, fields, message", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS)
+    def test_an_unknown_key_is_refused_by_name(self, tmp_path, capsys, command, fields, message):
+        self.assert_refused(tmp_path, capsys, command, fields, re.escape(message) + "$")
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, fields, message):
+        """`fields` over a valid sweep spec or system config raise ConfigError
+        matching `message` when built, and each command reading them exits 2
+        with it."""
         path = tmp_path / "input.json"
         if command == "sweep":
             data = {"snr_grid_db": [10.0], "rates": [0.5], "schemes": ["OS"], **fields}
@@ -795,13 +815,23 @@ class TestCli:
         assert len(lines) == 6 + 24
         assert all(0.0 < float(v) < 1.0 for v in lines.values())
 
-    def test_non_finite_subset_term_exits_3(self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            raise EvaluationError("term evaluated to non-finite nan")
+    def test_readme_examples_run(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 2
+        for block, argv in zip(blocks, (["outage"], ["sweep", "--trials", "2000",
+                                                     "--out", str(tmp_path / "x.csv")])):
+            path = tmp_path / f"{argv[0]}.json"
+            path.write_text(block, encoding="utf-8")
+            assert main(argv + ["--config", str(path)]) == 0, capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "outage_for_scheme", failing)
+    def test_non_finite_subset_term_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A NaN aggregate makes TS's first summed term non-finite.
+        monkeypatch.setattr(closedform, "subset_terms",
+                            lambda weights, exclude: [SignedSubsetTerm(-1, math.nan, 1)])
         assert main(["outage", "--config", str(self.write_config(tmp_path))]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: term ") and "non-finite nan" in err
 
     @pytest.mark.parametrize(
         "hop_db, eve_db", [(-3000.0, 3000.0), (3000.0, -3000.0), (3080.0, 0.0)],
