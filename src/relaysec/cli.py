@@ -192,13 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
-        p.add_argument("--max-n", type=int, help="ignored; kept so older command lines parse")
-        p.add_argument("--out", required=out_required, help="output path")
-
     p = sub.add_parser("outage", help="closed-form outage for one config")
     p.add_argument("--config", required=True)
-    add_common(p)
+    p.add_argument("--out", help="output path")
     p.set_defaults(func=_cmd_outage)
 
     p = sub.add_parser("simulate", help="Monte Carlo outage for one config")
@@ -212,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    add_common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="run a published-experiment preset")
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON overrides applied to every variant")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    add_common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("diversity", help="fit decay orders on a sweep CSV")

@@ -5,12 +5,6 @@ Each trial draws one exponential SNR per link by inverse CDF
 an outage when the selected relay's instantaneous secrecy rate falls strictly
 below the target.
 
-Sampling and selection exist once, on the vectorised block path; the scalar
-helpers are size-1 views of it.  `sample_realization` draws a one-trial chunk
-in the same stream order, and `apply_selection` runs the block rule's
-first-maximum on a one-row metric, so it picks exactly what the simulator
-picks.
-
 Determinism contract: trials are partitioned into fixed-size blocks; block b
 draws from a counter-based substream keyed by (seed, b), and block counts are
 reduced in block order.  The estimate is therefore bit-identical for a given
@@ -60,12 +54,8 @@ from .params import ConfigError, SelectionScheme, SystemConfig, _require_int, _r
 
 __all__ = [
     "BLOCK_SIZE",
-    "ChannelRealization",
     "MonteCarloEstimate",
     "block_generator",
-    "sample_realization",
-    "secrecy_rate",
-    "apply_selection",
     "simulate_outage",
     "outage_flags",
 ]
@@ -79,30 +69,6 @@ _local = threading.local()
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """Instantaneous linear SNRs of every link, one entry per relay."""
-
-    gamma_sr: tuple[float, ...]
-    gamma_rd: tuple[float, ...]
-    gamma_eve: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.gamma_sr)
-        if not (len(self.gamma_rd) == len(self.gamma_eve) == n) or n < 1:
-            raise ConfigError("realization arrays must share one length >= 1")
-        _require_snrs(*self.gamma_sr, *self.gamma_rd, *self.gamma_eve)
-
-    @property
-    def n_relays(self) -> int:
-        return len(self.gamma_sr)
-
-    @property
-    def gamma_main(self) -> tuple[float, ...]:
-        """Usable branch SNR per relay: min of the two hop SNRs."""
-        return tuple(min(s, d) for s, d in zip(self.gamma_sr, self.gamma_rd))
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     """Empirical outage probability with its Wald standard error."""
 
@@ -110,12 +76,6 @@ class MonteCarloEstimate:
     trials: int
     std_err: float
     seed: int
-
-
-def _require_snrs(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v) or v < 0.0:
-            raise ConfigError(f"SNR values must be finite and >= 0, got {v!r}")
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -140,15 +100,6 @@ def _neg_rates(cfgs: Sequence[SystemConfig]) -> np.ndarray:
     return -np.array(links, dtype=np.float64).transpose(2, 0, 1).copy()
 
 
-def _eve_weights(neg_rates: np.ndarray) -> np.ndarray:
-    """SS-RE's per-relay weights, (configs, n, 1): each config's eavesdropper
-    rates scaled by the one power of two that puts the largest in [0.5, 1).
-    The scale is exact, so it changes no comparison between products that
-    stay normal, and no product overflows: no link SNR exceeds DBL_MAX."""
-    eve = -neg_rates[2, :, :, None]
-    return np.ldexp(eve, -np.frexp(eve.max(axis=1, keepdims=True))[1])
-
-
 def _fixed_picks(scheme: SelectionScheme, cfgs: Sequence[SystemConfig]) -> np.ndarray | None:
     """0-based relay of each config for the rules that ignore the fading;
     None for the rules that compare it."""
@@ -157,48 +108,6 @@ def _fixed_picks(scheme: SelectionScheme, cfgs: Sequence[SystemConfig]) -> np.nd
     if scheme.kind == "PS":
         return np.array([select_ps(c) - 1 for c in cfgs], dtype=np.intp)
     return None
-
-
-def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization, a one-trial chunk; consumes 3 uniforms
-    per relay, so successive calls walk the stream a block would draw."""
-    u = _uniforms(rng, np.empty((cfg.n_relays, 3)))
-    g = np.log(u) / _neg_rates((cfg,))[:, 0].T
-    return ChannelRealization(
-        gamma_sr=tuple(g[:, 0]), gamma_rd=tuple(g[:, 1]), gamma_eve=tuple(g[:, 2])
-    )
-
-
-def secrecy_rate(gamma_main: float, gamma_eve: float) -> float:
-    """Instantaneous secrecy rate of one branch, clipped at zero.
-
-    Half of log2((1 + main SNR) / (1 + eavesdropper SNR)); the half reflects
-    the two-slot dual-hop transmission.  Both SNRs must be finite and >= 0.
-    """
-    _require_snrs(gamma_main, gamma_eve)
-    value = 0.5 * math.log2((1.0 + gamma_main) / (1.0 + gamma_eve))
-    return value if value > 0.0 else 0.0
-
-
-def apply_selection(
-    scheme: SelectionScheme, cfg: SystemConfig, realization: ChannelRealization
-) -> int:
-    """1-based index of the relay the scheme picks; ties break to the lowest.
-
-    Runs the simulator's metric and first-maximum on the realization, read as
-    ln(U) over unit negated rates, as a one-trial chunk of this thread's workspace.
-    """
-    scheme.validate_for(cfg)
-    if realization.n_relays != cfg.n_relays:
-        raise ConfigError("realization arity does not match the config")
-    picks = _fixed_picks(scheme, (cfg,))
-    if picks is not None:
-        return int(picks[0]) + 1
-    r, ws = realization, _workspace(1, cfg.n_relays, 1, 2)
-    ws.links[:, :, 0] = (r.gamma_sr, r.gamma_rd, r.gamma_eve)
-    unit = np.ones((3, 1, cfg.n_relays))
-    metric = _metric(scheme, ws.links, unit, _eve_weights(_neg_rates((cfg,))), ws.a, ws.b)
-    return int(_first_max(metric, ws.top, ws.idx, ws.run, ws.ne)[0, 0]) + 1
 
 
 def _link(links: np.ndarray, neg_rates: np.ndarray, link: int, out: np.ndarray) -> np.ndarray:
@@ -268,7 +177,8 @@ class _Curve:
     def __init__(self, scheme: SelectionScheme, cfgs: tuple[SystemConfig, ...], size: int):
         self.scheme, self.n, self.k = scheme, cfgs[0].n_relays, len(cfgs)
         self.neg_rates = _neg_rates(cfgs)
-        self.eve_weights = _eve_weights(self.neg_rates)
+        # SS-RE's per-relay weights, (configs, n, 1): the eavesdropper rates.
+        self.eve_weights = -self.neg_rates[2, :, :, None]
         self.rho = np.array([[c.rho] for c in cfgs], dtype=np.float64)
         self.picks = _fixed_picks(scheme, cfgs)
         # Each link's negated rate of the fixed pick, (3, configs, 1).

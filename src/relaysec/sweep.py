@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import Sequence
 
 from .asymptotics import (
@@ -57,7 +56,6 @@ __all__ = [
     "SweepRow",
     "run_sweep",
     "figure_preset",
-    "emit_csv",
     "render_csv",
     "run_manifest",
     "CSV_HEADER",
@@ -373,12 +371,6 @@ def render_csv(rows: Sequence[SweepRow]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def emit_csv(rows: Sequence[SweepRow], destination: str | Path) -> None:
-    """Write the sweep CSV (UTF-8, LF endings) to a path."""
-    text = render_csv(rows)
-    Path(destination).write_text(text, encoding="utf-8", newline="")
 
 
 def run_manifest(

@@ -20,14 +20,10 @@ from relaysec import (
     SS_RE,
     SS_SR,
     TS,
-    ChannelRealization,
     RelayLinkParams,
     SystemConfig,
-    apply_selection,
     outage_flags,
     outage_for_scheme,
-    sample_realization,
-    secrecy_rate,
     select_ps,
     simulate_outage,
     single,
@@ -37,106 +33,82 @@ from relaysec.montecarlo import block_generator
 from relaysec.params import ConfigError
 
 
-def make_real(sr, rd, eve):
-    return ChannelRealization(tuple(sr), tuple(rd), tuple(eve))
+def secrecy_rate(main, eve):
+    """Instantaneous secrecy rate of one branch, clipped at zero: half of
+    log2((1 + main SNR) / (1 + eavesdropper SNR)), the half for the two
+    slots of the dual-hop transmission."""
+    return max(0.0, 0.5 * math.log2((1.0 + main) / (1.0 + eve)))
 
 
-class TestSampling:
-    def test_degenerate_link_is_near_zero(self):
-        cfg = SystemConfig((RelayLinkParams(1e12, 1.0, 1.0),), 0.5)
-        real = sample_realization(cfg, block_generator(0, 0))
-        assert real.gamma_sr[0] < 1e-10
-
-    def test_empirical_mean_matches_distribution(self):
-        cfg = SystemConfig((RelayLinkParams(2.0, 1.0, 1.0),), 0.5)
-        rng = block_generator(123, 0)
-        draws = np.array([sample_realization(cfg, rng).gamma_sr[0] for _ in range(10_000)])
-        # mean 1/2, stderr (1/2)/sqrt(n)
-        assert abs(draws.mean() - 0.5) < 3 * 0.5 / math.sqrt(10_000)
-
-    def test_fixed_seed_reproduces_the_sequence(self):
-        cfg = random_config(np.random.default_rng(5), 3)
-        a = [sample_realization(cfg, block_generator(77, 0)) for _ in range(1)][0]
-        b = [sample_realization(cfg, block_generator(77, 0)) for _ in range(1)][0]
-        assert a == b
-
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ConfigError):
-            block_generator(-1, 0)
-        with pytest.raises(ConfigError):
-            block_generator(1 << 64, 0)
+def kernel_picks(scheme, cfgs, links):
+    """1-based relay each config picks on each trial, (configs, rows), as the
+    block kernel picks it: _Curve, _metric and _first_max on a chunk's ln(U)
+    laid out (3, n, rows).  PS and a pinned relay take their fixed picks."""
+    for cfg in cfgs:
+        scheme.validate_for(cfg)
+    k, (n, rows) = len(cfgs), links.shape[1:]
+    curve = montecarlo._Curve(scheme, cfgs, rows)
+    if curve.picks is not None:
+        return np.repeat(curve.picks[:, None], rows, axis=1) + 1
+    planes = np.empty((2, k, n, rows))
+    metric = montecarlo._metric(scheme, links, curve.neg_rates, curve.eve_weights, *planes)
+    idx = np.empty((k, rows), dtype=np.intp)
+    montecarlo._first_max(metric, np.empty((k, rows)), idx, *np.empty((2, k, rows), dtype=bool))
+    return idx + 1
 
 
-class TestSecrecyRate:
-    def test_clean_channel(self):
-        assert secrecy_rate(3.0, 0.0) == 1.0
-
-    def test_equal_links_give_zero(self):
-        assert secrecy_rate(7.7, 7.7) == 0.0
-
-    def test_negative_rate_clips_to_zero(self):
-        assert secrecy_rate(0.0, 5.0) == 0.0
-
-    @pytest.mark.parametrize(
-        "main, eve",
-        [(0.0, math.inf), (math.inf, 0.0), (-1.0, 0.0), (0.0, -1e-300), (math.nan, 1.0)],
-    )
-    def test_rejects_negative_or_non_finite_snrs(self, main, eve):
-        with pytest.raises(ConfigError, match="finite and >= 0"):
-            secrecy_rate(main, eve)
+def planted_picks(scheme, cfg, *trials):
+    """kernel_picks of one config on trials of planted link SNRs, each trial
+    (sr, rd, eve) with one SNR per relay: a link's ln(U) is planted as its
+    SNR times its negated rate, which the kernel divides back out."""
+    snrs = np.array(trials, dtype=float).transpose(1, 2, 0)  # (3, n, trials)
+    links = snrs * montecarlo._neg_rates((cfg,))[:, 0, :, None]
+    return kernel_picks(scheme, (cfg,), links)[0].tolist()
 
 
-class TestApplySelection:
+class TestSelectionRules:
+    """Each rule's pick on planted link SNRs, made by the block kernel; ties
+    break to the lowest index."""
+
     cfg2 = SystemConfig((RelayLinkParams(1, 1, 1), RelayLinkParams(1, 1, 1)), 0.5)
 
     def test_dominant_main_channel_wins_under_ts(self):
-        real = make_real([5.0, 1.0], [5.0, 1.0], [0.3, 0.3])
-        assert apply_selection(TS, self.cfg2, real) == 1
+        assert planted_picks(TS, self.cfg2, ([5.0, 1.0], [5.0, 1.0], [0.3, 0.3])) == [1]
 
-    def test_identical_relays_tie_break_to_lowest(self):
-        real = make_real([2.0, 2.0], [3.0, 3.0], [1.0, 1.0])
-        for scheme in ALL_SCHEMES:
-            assert apply_selection(scheme, self.cfg2, real) == 1
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_identical_relays_tie_break_to_lowest(self, scheme):
+        assert planted_picks(scheme, self.cfg2, ([2.0, 2.0], [3.0, 3.0], [1.0, 1.0])) == [1]
 
     def test_best_secrecy_rate_wins_under_os(self):
-        real = make_real([10.0, 5.0], [10.0, 5.0], [9.0, 0.0])
-        assert apply_selection(OS, self.cfg2, real) == 2
+        assert planted_picks(OS, self.cfg2, ([10.0, 5.0], [10.0, 5.0], [9.0, 0.0])) == [2]
 
     def test_zero_rate_branches_tie_under_os(self):
         # SNR ratios 1.1/10 and 1.5/6 both clip to a zero secrecy rate, so the
         # tie breaks to relay 1 although relay 2 has the larger ratio.
-        real = make_real([0.1, 0.5], [0.1, 0.5], [9.0, 5.0])
-        assert apply_selection(OS, self.cfg2, real) == 1
+        assert planted_picks(OS, self.cfg2, ([0.1, 0.5], [0.1, 0.5], [9.0, 5.0])) == [1]
 
     def test_hop_specific_rules(self):
-        real = make_real([4.0, 1.0], [1.0, 6.0], [1.0, 1.0])
-        assert apply_selection(SS_SR, self.cfg2, real) == 1
-        assert apply_selection(SS_RD, self.cfg2, real) == 2
+        trial = ([4.0, 1.0], [1.0, 6.0], [1.0, 1.0])
+        assert planted_picks(SS_SR, self.cfg2, trial) == [1]
+        assert planted_picks(SS_RD, self.cfg2, trial) == [2]
 
     def test_eavesdropper_weighted_rule(self):
         cfg = SystemConfig(
             (RelayLinkParams(1, 1, 0.1), RelayLinkParams(1, 1, 10.0)), 0.5
         )
-        real = make_real([3.0, 1.0], [3.0, 1.0], [1.0, 1.0])
         # metrics: 3 * 0.1 = 0.3 against 1 * 10, the exposed-but-weighted one
-        assert apply_selection(SS_RE, cfg, real) == 2
+        assert planted_picks(SS_RE, cfg, ([3.0, 1.0], [3.0, 1.0], [1.0, 1.0])) == [2]
 
     def test_statistics_only_rule_ignores_the_realization(self):
         cfg = SystemConfig(
             (RelayLinkParams(1, 1, 1), RelayLinkParams(0.2, 0.2, 1)), 0.5
         )
-        r1 = make_real([9.0, 0.1], [9.0, 0.1], [0.1, 9.0])
-        r2 = make_real([0.1, 9.0], [0.1, 9.0], [9.0, 0.1])
-        assert apply_selection(PS, cfg, r1) == apply_selection(PS, cfg, r2) == 2
+        r1 = ([9.0, 0.1], [9.0, 0.1], [0.1, 9.0])
+        r2 = ([0.1, 9.0], [0.1, 9.0], [9.0, 0.1])
+        assert planted_picks(PS, cfg, r1, r2) == [2, 2]
 
     def test_pinned_relay(self):
-        real = make_real([1.0, 9.0], [1.0, 9.0], [1.0, 1.0])
-        assert apply_selection(single(1), self.cfg2, real) == 1
-
-    def test_arity_mismatch_rejected(self):
-        real = make_real([1.0], [1.0], [1.0])
-        with pytest.raises(ConfigError):
-            apply_selection(TS, self.cfg2, real)
+        assert planted_picks(single(1), self.cfg2, ([1.0, 9.0], [1.0, 9.0], [1.0, 1.0])) == [1]
 
 
 class TestSimulateOutage:
@@ -206,37 +178,38 @@ class TestSimulateOutage:
 
 
 class TestScalarVectorConsistency:
-    """The vectorized block kernel must reproduce the per-trial reference
-    path: same stream, same selections, same outage indicators."""
+    """The vectorized block kernel must reproduce a per-trial Python replay
+    of the block's stream: same selections, same outage indicators."""
 
-    def test_blockwise_equivalence(self):
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_blockwise_equivalence(self, scheme):
         rng_cfg = np.random.default_rng(20)
         cfg = random_config(rng_cfg, 3)
         trials, seed = 400, 31
-        for scheme in ALL_SCHEMES:
-            flags = outage_flags(cfg, scheme, trials, seed)
-            rng = block_generator(seed, 0)
-            for t in range(trials):
-                real = sample_realization(cfg, rng)
-                k = apply_selection(scheme, cfg, real)
-                rate = secrecy_rate(real.gamma_main[k - 1], real.gamma_eve[k - 1])
-                assert bool(flags[t]) == (rate < cfg.rate_rs), (scheme.label, t)
+        u = block_generator(seed, 0).random((trials, cfg.n_relays, 3))
+        g = np.log(u) / -np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
+        flags = outage_flags(cfg, scheme, trials, seed)
+        for t in range(trials):
+            sr, rd, eve = g[t].T.tolist()
+            k = reference_pick(scheme, cfg, sr, rd, eve) - 1
+            rate = secrecy_rate(min(sr[k], rd[k]), eve[k])
+            assert bool(flags[t]) == (rate < cfg.rate_rs), t
 
 
-def reference_pick(scheme, cfg, real):
-    """Per-relay loop form of each selection rule, the reference that the
-    simulator's vectorised rule is checked against."""
+def reference_pick(scheme, cfg, sr, rd, eve):
+    """Per-relay loop form of each selection rule on one trial's link SNRs,
+    the reference that the simulator's vectorised rule is checked against."""
     if scheme.kind == "SINGLE":
         return scheme.relay
     if scheme.kind == "PS":
         return select_ps(cfg)
-    main = real.gamma_main
+    main = [min(s, d) for s, d in zip(sr, rd)]
     metric = {
-        "OS": [secrecy_rate(m, e) for m, e in zip(main, real.gamma_eve)],
-        "TS": list(main),
+        "OS": [secrecy_rate(m, e) for m, e in zip(main, eve)],
+        "TS": main,
         "SS-RE": [m * r.eve_rate for m, r in zip(main, cfg.relays)],
-        "SS-RD": list(real.gamma_rd),
-        "SS-SR": list(real.gamma_sr),
+        "SS-RD": list(rd),
+        "SS-SR": list(sr),
     }[scheme.kind]
     return metric.index(max(metric)) + 1
 
@@ -247,14 +220,16 @@ class TestSelectionReference:
         zero_rate_ties = 0
         for n in (2, 3, 5):
             cfg = random_config(rng_cfg, n)
-            rng = block_generator(32, n)
-            for _ in range(300):
-                real = sample_realization(cfg, rng)
-                rates = [secrecy_rate(m, e) for m, e in zip(real.gamma_main, real.gamma_eve)]
+            links = block_links(n, n, 300, seed=32)
+            snrs = links / montecarlo._neg_rates((cfg,))[:, 0, :, None]
+            picks = {scheme: kernel_picks(scheme, (cfg,), links)[0] for scheme in ALL_SCHEMES}
+            for t in range(300):
+                sr, rd, eve = snrs[:, :, t].tolist()
+                rates = [secrecy_rate(min(s, d), e) for s, d, e in zip(sr, rd, eve)]
                 zero_rate_ties += rates.count(0.0) > 1
                 for scheme in ALL_SCHEMES:
-                    expected = reference_pick(scheme, cfg, real)
-                    assert apply_selection(scheme, cfg, real) == expected, (scheme.label, real)
+                    expected = reference_pick(scheme, cfg, sr, rd, eve)
+                    assert picks[scheme][t] == expected, (scheme.label, n, t)
         assert zero_rate_ties > 0
 
 
@@ -294,29 +269,37 @@ class TestFirstMax:
             metric = montecarlo._metric(scheme, links, curve.neg_rates, curve.eve_weights, *planes)
             assert np.isfinite(metric).all(), (scheme.label, b)
 
+    def test_ss_re_products_stay_normal_over_the_range(self):
+        # SS-RE compares min(sr, rd) * eve_rate unscaled, which keeps its picks
+        # and ties exact while every product is a normal double.  U lies in
+        # [2**-54, 1 - 2**-53] (an exact 0.0 is read as 2**-54), and every
+        # link rate in [_MIN_RATE, _MAX_RATE].
+        lo, hi = params._MIN_RATE, params._MAX_RATE
+        least = -math.log1p(-(2.0**-53)) / hi * lo
+        greatest = -math.log(2.0**-54) / lo * hi
+        assert np.finfo(float).tiny < least < greatest < np.finfo(float).max
+        # The kernel forms both on the uniforms at either end.
+        cfg = SystemConfig((RelayLinkParams(hi, hi, lo), RelayLinkParams(lo, lo, hi)), 0.5)
+        curve = montecarlo._Curve(SS_RE, (cfg,), 1)
+        links = np.log(np.array([[[1.0 - 2.0**-53], [2.0**-54]]] * 3))
+        planes = np.empty((2, 1, 2, 1))
+        metric = montecarlo._metric(SS_RE, links, curve.neg_rates, curve.eve_weights, *planes)
+        assert metric.ravel().tolist() == pytest.approx([least, greatest], rel=1e-15)
+
     def test_ss_re_picks_the_exact_maximum_at_the_range_corners(self):
         # The pick must be the first maximum of the exact rational products
         # min(sr, rd) * eve_rate.
         cfgs, n, rows = range_corner_configs(), 5, 2_000
-        curve = montecarlo._Curve(SS_RE, cfgs, rows)
         links = block_links(0, n, rows)
-        planes = np.empty((2, len(cfgs), n, rows))
-        metric = montecarlo._metric(SS_RE, links, curve.neg_rates, curve.eve_weights, *planes)
-        picks = montecarlo._first_max(
-            metric, np.empty((len(cfgs), rows)), np.empty((len(cfgs), rows), dtype=np.intp),
-            *np.empty((2, len(cfgs), rows), dtype=bool),
-        )
-        main = np.minimum(links[0] / curve.neg_rates[0, :, :, None],
-                          links[1] / curve.neg_rates[1, :, :, None])
+        picks = kernel_picks(SS_RE, cfgs, links) - 1
+        neg_rates = montecarlo._neg_rates(cfgs)
+        main = np.minimum(links[0] / neg_rates[0, :, :, None], links[1] / neg_rates[1, :, :, None])
         wrong = 0
         for c, cfg in enumerate(cfgs):
             weights = [Fraction(r.eve_rate) for r in cfg.relays]
             for t in range(rows):
                 exact = [Fraction(m) * w for m, w in zip(main[c, :, t].tolist(), weights)]
                 wrong += int(picks[c, t]) != exact.index(max(exact))
-            # apply_selection scales its weights the same way.
-            real = make_real(main[c, :, 0], main[c, :, 0], [0.0] * n)
-            assert apply_selection(SS_RE, cfg, real) == picks[c, 0] + 1
         assert wrong == 0
 
 
@@ -331,9 +314,9 @@ def range_corner_configs():
     )
 
 
-def block_links(block, n, rows):
-    """ln(U) of the first `rows` trials of seed 5's block, laid out (3, n, rows)."""
-    u = montecarlo._uniforms(block_generator(5, block), np.empty((rows, n, 3)))
+def block_links(block, n, rows, seed=5):
+    """ln(U) of the first `rows` trials of a block, laid out (3, n, rows)."""
+    u = montecarlo._uniforms(block_generator(seed, block), np.empty((rows, n, 3)))
     return np.log(u).transpose(2, 1, 0).copy()
 
 
@@ -400,6 +383,12 @@ class TestPinnedStream:
         assert flags.dtype == np.bool_ and flags.shape == (PIN_TRIALS,)
         assert hashlib.sha256(flags.tobytes()).hexdigest() == flags_sha256
         assert simulate_outage(cfg, scheme, PIN_TRIALS, PIN_SEED).p_hat == p_hat
+
+    def test_rejects_bad_seed(self):
+        with pytest.raises(ConfigError):
+            block_generator(-1, 0)
+        with pytest.raises(ConfigError):
+            block_generator(1 << 64, 0)
 
     def test_n2_curve_fingerprint(self):
         # sha256 of every rule's estimates over a 13-config N = 2 curve.
@@ -596,18 +585,6 @@ class TestExactZero:
         for cfg, est in zip(curve, got):
             assert est.p_hat == np.count_nonzero(_ts_flags_at_zero(cfg, trials, seed, pos)) / trials
         assert np.array_equal(flags, _ts_flags_at_zero(curve[0], trials, seed, pos))
-
-    def test_a_realization_matches_its_replay(self):
-        cfg, pos = random_config(np.random.default_rng(40), 3), (0, 2, 1)
-        stub = ZeroAt(pos, 3, 0)
-        real = sample_realization(cfg, stub)
-        assert stub.requests == ["fill"]
-        assert _drawn_past(stub, (cfg.n_relays, 3))
-        u = block_generator(3, 0).random((cfg.n_relays, 3))
-        u[pos[1:]] = 2.0**-54
-        g = -np.log(u) / np.array([[r.sr_rate, r.rd_rate, r.eve_rate] for r in cfg.relays])
-        assert real == make_real(g[:, 0], g[:, 1], g[:, 2])
-        assert np.isfinite(g).all()
 
 
 def _curve(n, points, rate_rs=0.8):

@@ -1,7 +1,11 @@
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,17 @@ def test_package_exports_each_module_name_once():
     joined = [name for mod in modules for name in getattr(mod, "__all__", ())]
     assert sorted(relaysec.__all__) == sorted(joined)
     assert len(set(joined)) == len(joined)
+
+
+def test_the_package_and_cli_load_no_test_only_dependency():
+    # numpy is the one runtime dependency; scipy and mpmath serve the tests.
+    src = str(Path(relaysec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, relaysec, relaysec.cli; print(relaysec.__file__); "
+            "print([m for m in ('scipy', 'mpmath') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [relaysec.__file__, "[]"]
 
 
 def test_params_star_import_binds_both_error_types():

@@ -20,7 +20,6 @@ from relaysec import (
     SystemConfig,
     asymp_single_balanced,
     db_to_linear,
-    emit_csv,
     figure_preset,
     run_manifest,
     run_sweep,
@@ -28,7 +27,7 @@ from relaysec import (
     single,
     single_relay_outage,
 )
-from relaysec import SignedSubsetTerm, closedform, sweep
+from relaysec import SignedSubsetTerm, cli, closedform, sweep
 from relaysec.cli import main
 from relaysec.params import ConfigError, parse_scheme
 from relaysec.sweep import CSV_HEADER, FixedHop, _build_config, _cell_seed, render_csv
@@ -550,18 +549,27 @@ class TestFigurePresets:
 
 
 class TestCsvEmission:
-    def test_header_only_for_empty_rows(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], path)
-        assert path.read_text() == ",".join(CSV_HEADER) + "\n"
+    @staticmethod
+    def sweep_csv(tmp_path, spec):
+        """The bytes `relaysec sweep --out` writes for the spec."""
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_header_only_for_empty_rows(self, tmp_path, monkeypatch):
+        # Every accepted spec has a cell, so the sweep is stubbed to none.
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: [])
+        data = self.sweep_csv(tmp_path, single_relay_spec())
+        assert data == (",".join(CSV_HEADER) + "\n").encode("utf-8")
 
     def test_two_line_file_for_one_row(self, tmp_path):
-        rows = run_sweep(single_relay_spec(snr_grid_db=(20.0,)))
-        path = tmp_path / "one.csv"
-        emit_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
+        text = self.sweep_csv(tmp_path, single_relay_spec(snr_grid_db=(20.0,))).decode("utf-8")
+        lines = text.split("\n")
+        # Two LF-terminated lines and no CR.
+        assert len(lines) == 3 and lines[2] == "" and "\r" not in text
         assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[1].startswith("SINGLE:1,0.5,20.0,")
 
     def test_rows_sorted_and_round_trip_exactly(self):
         spec = SweepSpec(
@@ -680,6 +688,23 @@ class TestCli:
         label, p_hat, stderr = capsys.readouterr().out.strip().split("\t")
         assert label == "TS"
         assert 0.0 <= float(p_hat) <= 1.0
+
+    @pytest.mark.parametrize("command", ["outage", "sweep", "figure"])
+    def test_max_n_is_not_an_option(self, tmp_path, capsys, command):
+        args = {
+            "outage": ["--config", str(self.write_config(tmp_path))],
+            "sweep": ["--config", str(tmp_path / "spec.json"), "--out", str(tmp_path / "x.csv")],
+            "figure": ["fig2", "--out", str(tmp_path / "x.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--max-n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--max-n" not in capsys.readouterr().out
+        assert list(tmp_path.glob("x*")) == []
 
     def test_sweep_command_writes_csv_and_manifest(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -809,8 +834,7 @@ class TestCli:
         ]
         path = tmp_path / "many.json"
         path.write_text(json.dumps({"relays": relays, "rate_rs": 0.5}))
-        # --max-n is accepted and ignored.
-        assert main(["outage", "--config", str(path), "--max-n", "3"]) == 0
+        assert main(["outage", "--config", str(path)]) == 0
         lines = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
         assert len(lines) == 6 + 24
         assert all(0.0 < float(v) < 1.0 for v in lines.values())
