@@ -8,13 +8,14 @@ set entirely by the pinned hop and the eavesdropper statistics.
 Expansion values are returned as-is even where they exceed 1 (the expansion
 is only meaningful at high SNR); callers decide how to present that.  rho is
 checked as the closed forms check it: rho = 1 gives the zero-rate limit.
+The balanced OS and TS expansions carry products and powers as float64
+(mantissa, exponent) pairs: a value beyond DBL_MAX is inf, and a normal value
+is within 1e-13 relative (for OS, where each factor is a normal double).
 """
 
 from __future__ import annotations
 
-import decimal
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,17 +76,15 @@ def asymp_single_unbalanced(
 def asymp_os_balanced(
     eve_rates: Sequence[float], rho: float, mean_snr: float
 ) -> AsymptoteResult:
-    """Best-secrecy-rate selection, balanced hops: the product of the
-    per-relay leading-order terms, decaying like mean_snr^-N."""
+    """Best-secrecy-rate selection, balanced hops: the product, carried
+    scaled, of the per-relay leading-order terms, decaying like mean_snr^-N."""
     rho = _check_rho(rho)
     mean_snr = _require_positive_finite("mean_snr", mean_snr)
     rates = [_require_positive_finite("eve_rate", a) for a in eve_rates]
     if not rates:
         raise ConfigError("eve_rates must be non-empty")
-    value = 1.0
-    for a in rates:
-        value *= (2.0 / mean_snr) * (rho / a + (rho - 1.0))
-    return AsymptoteResult(value=value, slope_order=len(rates))
+    factors = [math.frexp((2.0 / mean_snr) * (rho / a + (rho - 1.0))) for a in rates]
+    return AsymptoteResult(value=_to_float(_times(*factors)), slope_order=len(rates))
 
 
 def asymp_os_unbalanced_floor(
@@ -110,59 +109,58 @@ def asymp_ts_balanced(
 ) -> AsymptoteResult:
     """Strongest-main-channel selection, balanced case, decaying like
     mean_snr^-N.  `mean_snr` is the mean of each relay's min-of-hops SNR
-    (the reciprocal of the composite branch rate).
+    (the reciprocal of the composite branch rate):
 
-    Evaluated exactly as published, inner relay sum included:
+        (N-1)!/mean_snr^N * sum_k (rho/a_k)^N e_N(a_k (rho-1)/rho),
 
-        (1/mean_snr)^N * sum_k sum_i sum_{j=0..N}
-            C(N,j) (rho-1)^j rho^(N-j) (N-j)! / (N * eve_rate_k^(N-j))
-
-    The inner sum carries no i-dependent factor, so it multiplies by N and
-    cancels the 1/N; numerically the expression tracks the exact curve's
-    slope but sits a factor N above its level.  Where a power or factorial
-    leaves the normal float range, the same expression is summed in 40-digit
-    decimals instead, and a value beyond DBL_MAX is returned as inf.
-    """
+    with e_N(r) = sum_{j=0..N} r^j/j!, summed by Horner's rule.  This is the
+    published expression divided by N: the published one repeats each term
+    in an inner sum over relays that has no relay index in it."""
     rho = _check_rho(rho)
     mean_snr = _require_positive_finite("mean_snr", mean_snr)
     rates = [_require_positive_finite("eve_rate", a) for a in eve_rates]
     n = len(rates)
     if n < 1:
         raise ConfigError("eve_rates must be non-empty")
-    beta = 1.0 / mean_snr
-    try:
-        value = _ts_sum(rates, rho, beta, n)
-        # No power fell below the normal range (rho = 1 makes exact zeros),
-        # and no denominator overflowed.
-        exact = (min(*rates, rho - 1.0 or 1.0, beta, 1.0) ** n >= sys.float_info.min
-                 and n * max(*rates, 1.0) ** n <= sys.float_info.max)
-    except (OverflowError, ZeroDivisionError):
-        exact = False
-    if not (exact and sys.float_info.min <= value <= sys.float_info.max):
-        wide = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        with decimal.localcontext(wide):
-            d = decimal.Decimal
-            value = float(_ts_sum([d(a) for a in rates], d(rho), 1 / d(mean_snr), n))
-    return AsymptoteResult(value=value, slope_order=n)
-
-
-def _ts_sum(rates, rho, beta, n):
-    """asymp_ts_balanced's published sum, in the arithmetic of its arguments
-    (in loops: the builtin sum() compensates float rounding from Python 3.12)."""
-    total = 0
+    shift = (rho - 1.0) / rho
+    rho_m, rho_e = math.frexp(rho)
+    snr_m, snr_e = math.frexp(mean_snr)
+    terms = []
     for a in rates:
-        inner = 0
-        for j in range(n + 1):
-            inner += (
-                math.comb(n, j)
-                # 0 ** 0 (at rho = 1) is an error in decimals.
-                * ((rho - 1) ** j if j else 1)
-                * rho ** (n - j)
-                * math.factorial(n - j)
-                / (n * a ** (n - j))
-            )
-        total += n * inner
-    return beta**n * total
+        m, e, r = 1.0, 0, a * shift  # e_N(r) = m * 2**e
+        for k in range(n, 0, -1):
+            m, d = math.frexp(math.ldexp(1.0, -e) + m * (r / k))
+            e += d
+        a_m, a_e = math.frexp(a)  # for (rho / (a * mean_snr))^N
+        terms.append(_times((m, e), _power(rho_m / (a_m * snr_m), rho_e - a_e - snr_e, n)))
+    top = max(e for _, e in terms)
+    total = (math.fsum(math.ldexp(m, e - top) for m, e in terms), top)
+    fact = math.factorial(n - 1)
+    value = _times(total, (fact / (1 << fact.bit_length()), fact.bit_length()))
+    return AsymptoteResult(value=_to_float(value), slope_order=n)
+
+
+def _times(*pairs):
+    """The product of pairs (m, e), each m * 2**e, renormalized at each
+    multiply, which rounds as the unscaled one does where that is normal."""
+    m, e = 1.0, 0
+    for pm, pe in pairs:
+        m, d = math.frexp(m * pm)
+        e += pe + d
+    return m, e
+
+
+def _power(m, e, n):
+    """(m * 2**e)**n as a pair, for 1/4 <= m <= 4, so that m**500 is normal."""
+    return _times(*[(m**500, 500 * e)] * (n // 500), (m ** (n % 500), n % 500 * e))
+
+
+def _to_float(pair):
+    """A pair as a float; inf beyond DBL_MAX."""
+    try:
+        return math.ldexp(*pair)
+    except OverflowError:
+        return math.inf
 
 
 def snr_gap_db(eve_rate_from: float, eve_rate_to: float, rho: float) -> float:
